@@ -14,8 +14,6 @@ from .model import (
 )
 from .noise import (
     BrownianPath,
-    coarsen,
-    forcing,
     forcing_weights,
     generate_path,
 )
@@ -25,16 +23,13 @@ from .integrator import (
     LinearPropagator,
     NumericalError,
     Trajectory,
-    cutoff_theta,
     integrate,
     make_propagator,
+    march,
     nonlinear_step,
     step,
-    step_stages,
-    step_truncated,
 )
 from .diagnostics import (
-    TangentState,
     TwoFormSample,
     charge_limit_discrete,
     conformal_ms_residual,

@@ -23,7 +23,6 @@ from .diagnostics import run_diagnostic_suite
 from .harness import (
     CSV_SCHEMA_VERSION,
     PACKAGE_VERSION,
-    EnsembleBlowUp,
     RunRecord,
     base_manifest,
     charge_experiment,
@@ -47,7 +46,8 @@ EXIT_IO = 5
 
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return repr(value)
+        # float() drops a numpy scalar's type name from its repr
+        return repr(float(value))
     return str(value)
 
 
@@ -240,7 +240,7 @@ def run(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (EnsembleBlowUp, BlowUpError) as exc:
+    except BlowUpError as exc:
         print(f"numerical blow-up: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
     except OSError as exc:
@@ -250,3 +250,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -61,28 +61,48 @@ def _parse_number_list(text: str, line: int, key: str) -> tuple:
     return tuple(_parse_number(tok, line, key) for tok in text.split(",") if tok.strip())
 
 
-_SCHEMA = {
-    "model": ("alpha", "lambda", "epsilon"),
-    "grid": ("J",),
-    "noise": ("P", "spectrum", "seed"),
-    "time": ("tau", "T"),
-    "experiment": ("kind", "M", "record_stride", "initial", "initials",
-                   "observables", "tau_ladder", "tau_ref", "horizons"),
-}
+def _parse_text(text: str, line: int, key: str) -> str:
+    return text.strip()
 
-_REQUIRED = (
-    ("model", "alpha"), ("model", "lambda"), ("model", "epsilon"),
-    ("grid", "J"), ("noise", "P"), ("noise", "spectrum"),
-    ("time", "tau"), ("time", "T"), ("experiment", "kind"),
+
+def _parse_kind(text: str, line: int, key: str) -> str:
+    kind = text.strip()
+    if kind not in EXPERIMENT_KINDS:
+        raise ConfigError(f"line {line}: key '{key}': unknown experiment kind {kind!r}")
+    return kind
+
+
+def _optional(parse, empty):
+    """`parse`, except that an empty value stands for `empty`."""
+    return lambda text, line, key: parse(text, line, key) if text else empty
+
+
+#: Every config key as (section, key, parser, default), in file order.  A
+#: default of None marks a required key; other defaults are raw values, parsed
+#: like the file's own.  Parsers take (text, line, key); keys are unique
+#: across sections and name the value they produce.
+_KEYS = (
+    ("model", "alpha", _parse_number, None),
+    ("model", "lambda", _parse_int, None),
+    ("model", "epsilon", _parse_number, None),
+    ("grid", "J", _parse_int, None),
+    ("noise", "P", _parse_int, None),
+    ("noise", "spectrum", _parse_text, None),
+    ("noise", "seed", _parse_int, "0"),
+    ("time", "tau", _parse_number, None),
+    ("time", "T", _parse_number, None),
+    ("experiment", "kind", _parse_kind, None),
+    ("experiment", "M", _parse_int, "1"),
+    ("experiment", "record_stride", _parse_int, "1"),
+    ("experiment", "initial", _parse_text, "sine"),
+    ("experiment", "initials", _optional(_parse_str_list, ()), ""),
+    ("experiment", "observables", _parse_str_list, "exp-norm2, sin-norm2"),
+    ("experiment", "tau_ladder", _parse_number_list, ""),
+    ("experiment", "tau_ref", _optional(_parse_number, None), ""),
+    ("experiment", "horizons", _parse_number_list, ""),
 )
 
-_DEFAULTS = {
-    ("noise", "seed"): "0",
-    ("experiment", "M"): "1",
-    ("experiment", "record_stride"): "1",
-    ("experiment", "initial"): "sine",
-    ("experiment", "observables"): "exp-norm2, sin-norm2",
-}
+_SECTION_OF = {key: section for section, key, _, _ in _KEYS}
 
 
 def _scan(text: str) -> dict:
@@ -95,7 +115,7 @@ def _scan(text: str) -> dict:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in _SCHEMA:
+            if section not in _SECTION_OF.values():
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             continue
         if "=" not in line:
@@ -103,7 +123,7 @@ def _scan(text: str) -> dict:
         if section is None:
             raise ConfigError(f"line {lineno}: key outside any [section]")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SCHEMA[section]:
+        if _SECTION_OF.get(key) != section:
             raise ConfigError(f"line {lineno}: unknown key '{key}' in section [{section}]")
         if (section, key) in entries:
             raise ConfigError(f"line {lineno}: duplicate key '{key}' in section [{section}]")
@@ -112,110 +132,66 @@ def _scan(text: str) -> dict:
 
 
 def apply_overrides(entries: dict, overrides) -> dict:
-    """Apply ``key=value`` / ``section.key=value`` pairs on top of parsed entries.
-
-    Bare keys must be unambiguous across the schema.
-    """
+    """Apply ``key=value`` / ``section.key=value`` pairs on top of parsed entries."""
     out = dict(entries)
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r}: expected key=value")
         key, value = (part.strip() for part in item.split("=", 1))
-        if "." in key:
-            section, name = key.split(".", 1)
-            if section not in _SCHEMA or name not in _SCHEMA[section]:
-                raise ConfigError(f"override {item!r}: unknown key '{key}'")
-        else:
-            hits = [s for s, keys in _SCHEMA.items() if key in keys]
-            if not hits:
-                raise ConfigError(f"override {item!r}: unknown key '{key}'")
-            if len(hits) > 1:
-                raise ConfigError(
-                    f"override {item!r}: ambiguous key '{key}' (sections {', '.join(hits)})")
-            section, name = hits[0], key
-        out[(section, name)] = (value, 0)
+        section, _, name = key.rpartition(".")
+        if _SECTION_OF.get(name) is None or section not in ("", _SECTION_OF[name]):
+            raise ConfigError(f"override {item!r}: unknown key '{key}'")
+        out[(_SECTION_OF[name], name)] = (value, 0)
     return out
 
 
 def build_config(entries: dict) -> ExperimentConfig:
     """Typed, validated ExperimentConfig from raw entries (defaults applied)."""
-    missing = [f"[{s}] {k}" for s, k in _REQUIRED if (s, k) not in entries]
+    missing = [f"[{s}] {k}" for s, k, _, default in _KEYS
+               if default is None and (s, k) not in entries]
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
-    data = dict(entries)
-    for loc, default in _DEFAULTS.items():
-        data.setdefault(loc, (default, 0))
+    v = {}
+    for section, key, parse, default in _KEYS:
+        text, line = entries.get((section, key), (default, 0))
+        v[key] = parse(text, line, key)
 
-    def get(section, key, default=None):
-        if (section, key) not in data:
-            return default, 0
-        return data[(section, key)]
-
-    val, ln = get("model", "alpha")
-    alpha = _parse_number(val, ln, "alpha")
-    val, ln = get("model", "lambda")
-    lam = _parse_int(val, ln, "lambda")
-    val, ln = get("model", "epsilon")
-    epsilon = _parse_number(val, ln, "epsilon")
-    val, ln = get("grid", "J")
-    J = _parse_int(val, ln, "J")
-    val, ln = get("noise", "P")
-    P = _parse_int(val, ln, "P")
-    spec_desc, spec_line = get("noise", "spectrum")
-    val, ln = get("noise", "seed")
-    seed = _parse_int(val, ln, "seed")
-    val, ln = get("time", "tau")
-    tau = _parse_number(val, ln, "tau")
-    val, ln = get("time", "T")
-    T = _parse_number(val, ln, "T")
-    kind, kind_line = get("experiment", "kind")
-    kind = kind.strip()
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(f"line {kind_line}: key 'kind': unknown experiment kind {kind!r}")
-    val, ln = get("experiment", "M")
-    M = _parse_int(val, ln, "M")
-    val, ln = get("experiment", "record_stride")
-    record_stride = _parse_int(val, ln, "record_stride")
-    initial, _ = get("experiment", "initial")
-    initials_raw, ln_i = get("experiment", "initials")
-    initials = _parse_str_list(initials_raw, ln_i, "initials") if initials_raw else ()
-    obs_raw, ln_o = get("experiment", "observables")
-    observables = _parse_str_list(obs_raw, ln_o, "observables")
-    ladder_raw, ln_l = get("experiment", "tau_ladder")
-    tau_ladder = _parse_number_list(ladder_raw, ln_l, "tau_ladder") if ladder_raw else ()
-    ref_raw, ln_r = get("experiment", "tau_ref")
-    tau_ref = _parse_number(ref_raw, ln_r, "tau_ref") if ref_raw else None
-    hor_raw, ln_h = get("experiment", "horizons")
-    horizons = _parse_number_list(hor_raw, ln_h, "horizons") if hor_raw else ()
-
-    spec_desc = spec_desc.strip()
+    spec_desc, P = v.pop("spectrum"), v.pop("P")
     try:
         if spec_desc.startswith("explicit:"):
             eta = spectrum([float(tok) for tok in spec_desc[len("explicit:"):].split(",")], P)
         else:
             eta = spectrum(spec_desc, P)
-        config = ExperimentConfig(
-            kind=kind,
-            params=ModelParams(alpha=alpha, lam=lam, epsilon=epsilon),
-            grid=GridSpec(J=J),
-            noise=NoiseSpec(P=P, eta=eta, seed=seed),
+        return ExperimentConfig(
+            params=ModelParams(alpha=v.pop("alpha"), lam=v.pop("lambda"),
+                               epsilon=v.pop("epsilon")),
+            grid=GridSpec(J=v.pop("J")),
+            noise=NoiseSpec(P=P, eta=eta, seed=v.pop("seed")),
             spectrum_desc=spec_desc,
-            tau=tau,
-            T=T,
-            M=M,
-            initial=initial.strip(),
-            initials=initials,
-            observables=observables,
-            tau_ladder=tau_ladder,
-            tau_ref=tau_ref,
-            horizons=horizons,
-            record_stride=record_stride,
+            **v,
         )
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return config
+
+
+def _config_values(config: ExperimentConfig) -> dict:
+    """The value behind every key of `_KEYS`, the inverse of `build_config`."""
+    return {
+        "alpha": config.params.alpha, "lambda": config.params.lam,
+        "epsilon": config.params.epsilon, "J": config.grid.J, "P": config.noise.P,
+        "spectrum": config.spectrum_desc, "seed": config.noise.seed,
+        "tau": config.tau, "T": config.T, "kind": config.kind, "M": config.M,
+        "record_stride": config.record_stride, "initial": config.initial,
+        "initials": config.initials, "observables": config.observables,
+        "tau_ladder": config.tau_ladder, "tau_ref": config.tau_ref,
+        "horizons": config.horizons,
+    }
+
+
+def _format_value(value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(_format_value(item) for item in value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def parse_config(text: str, overrides=()) -> ExperimentConfig:
@@ -224,38 +200,17 @@ def parse_config(text: str, overrides=()) -> ExperimentConfig:
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    """Canonical text form; parse_config(serialize_config(c)) == c."""
-    lines = [
-        "[model]",
-        f"alpha = {config.params.alpha!r}",
-        f"lambda = {config.params.lam}",
-        f"epsilon = {config.params.epsilon!r}",
-        "",
-        "[grid]",
-        f"J = {config.grid.J}",
-        "",
-        "[noise]",
-        f"P = {config.noise.P}",
-        f"spectrum = {config.spectrum_desc}",
-        f"seed = {config.noise.seed}",
-        "",
-        "[time]",
-        f"tau = {config.tau!r}",
-        f"T = {config.T!r}",
-        "",
-        "[experiment]",
-        f"kind = {config.kind}",
-        f"M = {config.M}",
-        f"record_stride = {config.record_stride}",
-        f"initial = {config.initial}",
-    ]
-    if config.initials:
-        lines.append("initials = " + ", ".join(config.initials))
-    lines.append("observables = " + ", ".join(config.observables))
-    if config.tau_ladder:
-        lines.append("tau_ladder = " + ", ".join(repr(t) for t in config.tau_ladder))
-    if config.tau_ref is not None:
-        lines.append(f"tau_ref = {config.tau_ref!r}")
-    if config.horizons:
-        lines.append("horizons = " + ", ".join(repr(t) for t in config.horizons))
-    return "\n".join(lines) + "\n"
+    """Canonical text form; parse_config(serialize_config(c)) == c.
+
+    Keys whose value is unset (None or empty) are left out.
+    """
+    values = _config_values(config)
+    lines, current = [], None
+    for section, key, _, _ in _KEYS:
+        if values[key] is None or values[key] == ():
+            continue
+        if section != current:
+            lines += ["", f"[{section}]"]
+            current = section
+        lines.append(f"{key} = {_format_value(values[key])}")
+    return "\n".join(lines[1:]) + "\n"

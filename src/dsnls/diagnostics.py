@@ -12,9 +12,9 @@ Covers the laws the scheme is built to respect:
   pairs through exact Jacobians;
 * the dimension-uniform bound ‖A‖ < 4 for the second-difference stencil.
 
-Tangent states carry variations dΨ of the flow; their z-view stacks
-(dp, dq, dv, dw) per node with forward differences dv_j = (dp_j - dp_{j-1})/h
-and zero Dirichlet ghosts at j = 0 and j = J+1.
+Tangent vectors dΨ, variations of the flow, are complex arrays of length J;
+their z-view stacks (dp, dq, dv, dw) per node with forward differences
+dv_j = (dp_j - dp_{j-1})/h and zero Dirichlet ghosts at j = 0 and j = J+1.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "mean_charge_law",
     "charge_limit_discrete",
     "step_energy_residual",
-    "TangentState",
     "z_view",
     "tangent_step",
     "propagate_tangent_linear",
@@ -103,13 +102,6 @@ def step_energy_residual(psi_n, psi_np1, psi_tilde_damped, forcing_vec,
 # tangent dynamics
 
 
-@dataclass(frozen=True, eq=False)
-class TangentState:
-    """A variation dΨ of the flow; complex vector of length J."""
-
-    dpsi: np.ndarray
-
-
 def z_view(dpsi: np.ndarray, h: float) -> np.ndarray:
     """(J+2, 4) real array of rows (dp, dq, dv, dw) for j = 0..J+1.
 
@@ -156,24 +148,24 @@ def propagate_tangent_linear(dpsi: np.ndarray, prop: LinearPropagator) -> np.nda
     return prop.propagate(prop.damping_factor * dpsi)
 
 
-def tangent_step(psi_n: np.ndarray, dpsi: TangentState, prop: LinearPropagator,
-                 params: ModelParams, cutoff: CutoffFunction | None = None) -> TangentState:
+def tangent_step(psi_n: np.ndarray, dpsi: np.ndarray, prop: LinearPropagator,
+                 params: ModelParams, cutoff: CutoffFunction | None = None) -> np.ndarray:
     """Exact Jacobian of one full scheme step at base point Ψⁿ, applied to dΨⁿ."""
-    if dpsi.dpsi.shape != psi_n.shape:
-        raise ValueError(f"tangent shape {dpsi.dpsi.shape} != state shape {psi_n.shape}")
-    inner = nonlinear_tangent(psi_n, dpsi.dpsi, params.lam, prop.tau, cutoff)
-    return TangentState(propagate_tangent_linear(inner, prop))
+    if dpsi.shape != psi_n.shape:
+        raise ValueError(f"tangent shape {dpsi.shape} != state shape {psi_n.shape}")
+    inner = nonlinear_tangent(psi_n, dpsi, params.lam, prop.tau, cutoff)
+    return propagate_tangent_linear(inner, prop)
 
 
-def nonlinear_symplectic_residual(psi: np.ndarray, xi: TangentState, zeta: TangentState,
+def nonlinear_symplectic_residual(psi: np.ndarray, xi: np.ndarray, zeta: np.ndarray,
                                   lam: int, tau: float) -> float:
     """Max node-wise change of the area form ξ_p ζ_q - ξ_q ζ_p under the
     rotation Jacobian; zero in exact arithmetic (each node map has unit
     determinant)."""
-    xi_out = nonlinear_tangent(psi, xi.dpsi, lam, tau)
-    zeta_out = nonlinear_tangent(psi, zeta.dpsi, lam, tau)
+    xi_out = nonlinear_tangent(psi, xi, lam, tau)
+    zeta_out = nonlinear_tangent(psi, zeta, lam, tau)
     # area(a, b)_j = Im(conj(a_j) b_j) = a_p b_q - a_q b_p
-    before = np.imag(np.conj(xi.dpsi) * zeta.dpsi)
+    before = np.imag(np.conj(xi) * zeta)
     after = np.imag(np.conj(xi_out) * zeta_out)
     return float(np.abs(after - before).max())
 
@@ -203,21 +195,21 @@ class TwoFormSample:
     `xi_before`/`zeta_before` (see `two_form_sample`).
     """
 
-    xi_before: TangentState
-    zeta_before: TangentState
-    xi_after: TangentState
-    zeta_after: TangentState
+    xi_before: np.ndarray
+    zeta_before: np.ndarray
+    xi_after: np.ndarray
+    zeta_after: np.ndarray
     step_index: int = 0
 
 
-def two_form_sample(xi: TangentState, zeta: TangentState, prop: LinearPropagator,
+def two_form_sample(xi: np.ndarray, zeta: np.ndarray, prop: LinearPropagator,
                     step_index: int = 0) -> TwoFormSample:
     """Propagate a tangent pair through one linear substep and package it."""
     return TwoFormSample(
         xi_before=xi,
         zeta_before=zeta,
-        xi_after=TangentState(propagate_tangent_linear(xi.dpsi, prop)),
-        zeta_after=TangentState(propagate_tangent_linear(zeta.dpsi, prop)),
+        xi_after=propagate_tangent_linear(xi, prop),
+        zeta_after=propagate_tangent_linear(zeta, prop),
         step_index=step_index,
     )
 
@@ -242,15 +234,15 @@ def conformal_ms_terms(sample: TwoFormSample, tau: float, h: float, alpha: float
 
     All arrays have length J (nodes j = 1..J); ghost nodes only feed the flux.
     """
-    zx_n = z_view(sample.xi_before.dpsi, h)
-    zz_n = z_view(sample.zeta_before.dpsi, h)
-    zx_np1 = z_view(sample.xi_after.dpsi, h)
-    zz_np1 = z_view(sample.zeta_after.dpsi, h)
+    zx_n = z_view(sample.xi_before, h)
+    zz_n = z_view(sample.zeta_before, h)
+    zx_np1 = z_view(sample.xi_after, h)
+    zz_np1 = z_view(sample.zeta_after, h)
     damp = np.exp(-0.5 * alpha * tau)
     zx_mid = 0.5 * (zx_np1 + damp * zx_n)
     zz_mid = 0.5 * (zz_np1 + damp * zz_n)
 
-    J = sample.xi_before.dpsi.shape[0]
+    J = sample.xi_before.shape[0]
     inner = slice(1, J + 1)
     w_n = _wedge_m(zx_n, zz_n)[inner]
     w_np1 = _wedge_m(zx_np1, zz_np1)[inner]
@@ -361,7 +353,7 @@ class DiagnosticRow:
 
 def run_diagnostic_suite(seed: int = 0) -> list[DiagnosticRow]:
     """Machine-precision identity checks on randomized inputs; seconds to run."""
-    from .integrator import make_propagator, nonlinear_step, step_stages
+    from .integrator import make_propagator, nonlinear_step, step
     from .model import make_grid, spectrum
     from .noise import forcing_weights, generate_path
 
@@ -388,7 +380,8 @@ def run_diagnostic_suite(seed: int = 0) -> list[DiagnosticRow]:
         if params.epsilon > 0.0:
             path = generate_path(noise_spec, tau, 1, trial)
             g = forcing_weights(grid, noise_spec, params.epsilon) @ path.increments[0]
-        nxt, stage = step_stages(psi, prop, params, g)
+        nxt = step(psi, prop, params, g)
+        stage = prop.damping_factor * nonlinear_step(psi, params.lam, tau)
         res = abs(step_energy_residual(psi, nxt, stage, g, params, tau))
         scale = max(1.0, float(_abs2(psi).sum()))
         record("energy-identity", res / scale, 1e-10, step=trial)
@@ -413,8 +406,8 @@ def run_diagnostic_suite(seed: int = 0) -> list[DiagnosticRow]:
         tau = float(2.0 ** -rng.integers(3, 8))
         prop = make_propagator(grid, tau, alpha)
         psi = rng.standard_normal(J) + 1j * rng.standard_normal(J)
-        xi = TangentState(rng.standard_normal(J) + 1j * rng.standard_normal(J))
-        zeta = TangentState(rng.standard_normal(J) + 1j * rng.standard_normal(J))
+        xi = rng.standard_normal(J) + 1j * rng.standard_normal(J)
+        zeta = rng.standard_normal(J) + 1j * rng.standard_normal(J)
         record("nonlinear-symplectic",
                nonlinear_symplectic_residual(psi, xi, zeta, 1, tau), 1e-12, step=trial)
         sample = two_form_sample(xi, zeta, prop)

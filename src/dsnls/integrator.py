@@ -15,7 +15,7 @@ complex coefficients) and every solve is O(J) per column.  All state
 operations accept (J,) vectors or (J, m) batches, one realization per
 column, and are column-wise deterministic.
 
-The truncated variant scales the rotation angle by θ(‖Ψⁿ‖/R) with a smooth
+With a cutoff, `step` scales the rotation angle by θ(‖Ψⁿ‖/R) with a smooth
 plateau cutoff θ (≡1 below R, ≡0 above 2R), which makes the drift globally
 Lipschitz while leaving the scheme untouched on trajectories that stay
 inside radius R.
@@ -23,6 +23,7 @@ inside radius R.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,10 +40,7 @@ __all__ = [
     "make_propagator",
     "nonlinear_step",
     "step",
-    "step_stages",
-    "step_truncated",
-    "step_truncated_stages",
-    "cutoff_theta",
+    "march",
     "integrate",
     "tridiag_factor",
     "tridiag_solve",
@@ -54,12 +52,13 @@ class NumericalError(RuntimeError):
 
 
 class BlowUpError(RuntimeError):
-    """Non-finite state detected; carries the first offending step index."""
+    """Non-finite state detected; carries the first offending step index and
+    the realization whose state it was."""
 
-    def __init__(self, step_index: int, detail: str = ""):
+    def __init__(self, step_index: int, realization: int = 0):
         self.step_index = step_index
-        msg = f"non-finite state after step {step_index}"
-        super().__init__(msg + (f" ({detail})" if detail else ""))
+        self.realization = realization
+        super().__init__(f"non-finite state after step {step_index} (realization {realization})")
 
 
 def tridiag_factor(J: int, diag, off):
@@ -233,11 +232,6 @@ class CutoffFunction:
         return self.theta(norm / self.R)
 
 
-def cutoff_theta(x, cut: CutoffFunction):
-    """Evaluate the plateau cutoff θ at x >= 0."""
-    return cut.theta(x)
-
-
 def _check_step_inputs(psi, prop: LinearPropagator, params: ModelParams, forcing_vec):
     if psi.shape[0] != prop.grid.J:
         raise ValueError(f"state has leading dimension {psi.shape[0]}, expected J={prop.grid.J}")
@@ -247,42 +241,46 @@ def _check_step_inputs(psi, prop: LinearPropagator, params: ModelParams, forcing
         raise ValueError(f"forcing has shape {forcing_vec.shape}, expected {psi.shape}")
 
 
-def _advance(psi, prop, params, scale, forcing_vec):
-    damped_tilde = prop.damping_factor * _rotate(psi, params.lam, prop.tau, scale)
-    rhs = prop.apply_plus(damped_tilde)
-    if forcing_vec is not None:
-        rhs += forcing_vec
-    return prop.solve_minus(rhs), damped_tilde
-
-
 def step(psi: np.ndarray, prop: LinearPropagator, params: ModelParams,
-         forcing_vec: np.ndarray | None = None) -> np.ndarray:
-    """One full step Ψⁿ → Ψⁿ⁺¹ = L₋⁻¹ [L₊ e^{f(Ψⁿ)} Ψⁿ + g]."""
-    _check_step_inputs(psi, prop, params, forcing_vec)
-    return _advance(psi, prop, params, 1.0, forcing_vec)[0]
+         forcing_vec: np.ndarray | None = None,
+         cutoff: CutoffFunction | None = None) -> np.ndarray:
+    """One full step Ψⁿ → Ψⁿ⁺¹ = L₋⁻¹ [L₊ e^{f(Ψⁿ)} Ψⁿ + g].
 
-
-def step_stages(psi, prop, params, forcing_vec=None):
-    """Like `step` but also returns the damped rotated stage e^{f(Ψⁿ)} Ψⁿ,
-    which the per-step energy identity needs."""
-    _check_step_inputs(psi, prop, params, forcing_vec)
-    return _advance(psi, prop, params, 1.0, forcing_vec)
-
-
-def step_truncated(psi: np.ndarray, prop: LinearPropagator, params: ModelParams,
-                   cut: CutoffFunction, forcing_vec: np.ndarray | None = None) -> np.ndarray:
-    """One step with the rotation angle scaled by θ(‖Ψⁿ‖/R).
-
-    Bit-identical to `step` while ‖Ψⁿ‖ <= R; pure damped linear step once
-    ‖Ψⁿ‖ >= 2R.
+    With a `cutoff` the rotation angle is scaled by θ(‖Ψⁿ‖/R): bit-identical
+    to the plain step while ‖Ψⁿ‖ <= R, a pure damped linear step once
+    ‖Ψⁿ‖ >= 2R.  The damped rotated stage e^{f(Ψⁿ)} Ψⁿ that the per-step
+    energy identity needs is `prop.damping_factor * nonlinear_step(psi, lam,
+    tau)`, bit for bit the one formed here.
     """
     _check_step_inputs(psi, prop, params, forcing_vec)
-    return _advance(psi, prop, params, cut.scale(psi), forcing_vec)[0]
+    scale = 1.0 if cutoff is None else cutoff.scale(psi)
+    rhs = prop.apply_plus(prop.damping_factor * _rotate(psi, params.lam, prop.tau, scale))
+    if forcing_vec is not None:
+        rhs += forcing_vec
+    return prop.solve_minus(rhs)
 
 
-def step_truncated_stages(psi, prop, params, cut, forcing_vec=None):
-    _check_step_inputs(psi, prop, params, forcing_vec)
-    return _advance(psi, prop, params, cut.scale(psi), forcing_vec)
+def march(psi: np.ndarray, prop: LinearPropagator, params: ModelParams, forcing,
+          n_steps: int, cutoff: CutoffFunction | None = None, first_realization: int = 0):
+    """Step Ψ⁰ n_steps times, yielding (n, Ψⁿ) for n = 0, 1, ..., n_steps.
+
+    `forcing` is an iterator giving one forcing increment per step, shaped
+    like `psi` ((J,) or (J, m), one realization per column), or None for a
+    noise-free step.  The yielded arrays are never modified afterwards.
+    Raises `BlowUpError` on the first non-finite state, naming the step and
+    the realization, `first_realization` + column; the overflow that causes
+    it raises no warning.
+    """
+    yield 0, psi
+    for n in range(1, n_steps + 1):
+        g = next(forcing)
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi = step(psi, prop, params, g, cutoff)
+        finite = np.isfinite(psi)
+        if not finite.all():
+            column = int(np.argwhere(~finite.reshape(psi.shape[0], -1))[0, 1])
+            raise BlowUpError(n, first_realization + column)
+        yield n, psi
 
 
 @dataclass(frozen=True)
@@ -321,23 +319,16 @@ def integrate(psi0: np.ndarray, prop: LinearPropagator, params: ModelParams,
     else:
         n_steps = 0 if n_steps is None else n_steps
 
-    g_all = None
+    forcing = itertools.repeat(None)
     if path is not None and params.epsilon > 0.0:
         weights = forcing_weights(prop.grid, noise, params.epsilon)
-        g_all = project_forcing(path.increments[:n_steps], weights)
+        forcing = iter(project_forcing(path.increments[:n_steps], weights))
 
-    snaps = [psi.copy()]
-    snap_steps = [0]
-    for n in range(n_steps):
-        g = None if g_all is None else g_all[n]
-        if cutoff is None:
-            psi = step(psi, prop, params, g)
-        else:
-            psi = step_truncated(psi, prop, params, cutoff, g)
-        if not np.all(np.isfinite(psi.view(float))):
-            raise BlowUpError(n + 1)
-        if (n + 1) % record_stride == 0 or n + 1 == n_steps:
+    snaps = []
+    snap_steps = []
+    for n, psi in march(psi, prop, params, forcing, n_steps, cutoff):
+        if n % record_stride == 0 or n == n_steps:
             snaps.append(psi.copy())
-            snap_steps.append(n + 1)
+            snap_steps.append(n)
     idx = np.asarray(snap_steps)
     return Trajectory(step_indices=idx, times=idx * prop.tau, states=np.asarray(snaps))

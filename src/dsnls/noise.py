@@ -1,4 +1,4 @@
-"""Seeded Karhunen-Loève Wiener increments with coarse/fine coupling.
+"""Seeded Karhunen-Loève Wiener increments and their projection to forcing.
 
 Each realization owns an independent counter-based stream (numpy's
 philox4x64-10), so ensembles reproduce bit-for-bit regardless of worker
@@ -17,7 +17,6 @@ exponential charge law of the continuous model requires.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,11 +28,9 @@ __all__ = [
     "stream_key",
     "generate_path",
     "increment_blocks",
-    "coarsen",
-    "forcing",
     "forcing_weights",
+    "project_forcing",
     "forcing_blocks",
-    "write_increments_csv",
 ]
 
 GENERATOR_NAME = "philox4x64-10/splitmix64-key"
@@ -86,17 +83,22 @@ class BrownianPath:
         return self.increments.shape[1]
 
 
+def _draw(gen: np.random.Generator, n_steps: int, P: int, root: float) -> np.ndarray:
+    """The next (n_steps, P) complex increments of `gen`, scaled by `root` = √τ."""
+    raw = gen.standard_normal((n_steps, P, 2))
+    raw *= root
+    return raw.view(complex)[..., 0]  # (re, im) pairs read in place as complex
+
+
 def generate_path(noise: NoiseSpec, tau_fine: float, n_steps: int, realization: int) -> BrownianPath:
     """Sample one realization's increments from its dedicated stream."""
     if not tau_fine > 0.0:
         raise ValueError(f"tau_fine must be > 0, got {tau_fine}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    raw = _stream(noise, realization).standard_normal((n_steps, noise.P, 2))
-    raw *= np.sqrt(tau_fine)
     return BrownianPath(
         tau=tau_fine,
-        increments=raw[..., 0] + 1j * raw[..., 1],
+        increments=_draw(_stream(noise, realization), n_steps, noise.P, np.sqrt(tau_fine)),
         base_seed=noise.seed,
         realization=realization,
     )
@@ -107,7 +109,8 @@ def increment_blocks(noise: NoiseSpec, tau_fine: float, n_steps: int, realizatio
     """Yield the same increments as `generate_path`, in (<=block_size, P) chunks.
 
     Chunked draws consume the stream sequentially, so the concatenation of all
-    blocks is bit-identical to the one-shot path.
+    blocks is bit-identical to the one-shot path.  A suspended generator holds
+    no block: each is formed by `_draw` and handed straight out.
     """
     if not tau_fine > 0.0:
         raise ValueError(f"tau_fine must be > 0, got {tau_fine}")
@@ -116,42 +119,8 @@ def increment_blocks(noise: NoiseSpec, tau_fine: float, n_steps: int, realizatio
     done = 0
     while done < n_steps:
         n = min(block_size, n_steps - done)
-        raw = gen.standard_normal((n, noise.P, 2))
-        raw *= root
-        yield raw[..., 0] + 1j * raw[..., 1]
+        yield _draw(gen, n, noise.P, root)
         done += n
-
-
-def coarsen(path: BrownianPath, ratio: int) -> BrownianPath:
-    """Block-sum increments: coarse step m aggregates fine steps [m·ratio, (m+1)·ratio).
-
-    The coarse path is exactly the one a coarse-step run must consume to stay
-    coupled to the fine reference.
-    """
-    if ratio < 1:
-        raise ValueError(f"ratio must be >= 1, got {ratio}")
-    n = path.n_steps
-    if n % ratio != 0:
-        raise ValueError(f"ratio {ratio} does not divide n_steps {n}")
-    coarse = path.increments.reshape(n // ratio, ratio, path.P).sum(axis=1)
-    return BrownianPath(
-        tau=path.tau * ratio,
-        increments=coarse,
-        base_seed=path.base_seed,
-        realization=path.realization,
-    )
-
-
-def forcing(sigma: np.ndarray, noise: NoiseSpec, epsilon: float, delta_beta: np.ndarray) -> np.ndarray:
-    """One forcing increment ε σ Λ δβ with Λ = diag(√η); shape (J,) or (J, m)."""
-    sigma = np.asarray(sigma)
-    delta_beta = np.asarray(delta_beta)
-    if sigma.ndim != 2 or sigma.shape[1] != noise.P:
-        raise ValueError(f"sigma has shape {sigma.shape}, expected (J, {noise.P})")
-    if delta_beta.shape[0] != noise.P:
-        raise ValueError(f"delta_beta has leading dimension {delta_beta.shape[0]}, expected {noise.P}")
-    weighted = np.sqrt(noise.eta_array)
-    return epsilon * (sigma * weighted) @ delta_beta
 
 
 def forcing_weights(grid, noise: NoiseSpec, epsilon: float) -> np.ndarray:
@@ -177,15 +146,6 @@ def forcing_blocks(weights: np.ndarray, noise: NoiseSpec, tau_fine: float, n_ste
     shapes, so the values do not depend on how realizations are batched.
     """
     wt = np.ascontiguousarray(weights.T)
-    for block in increment_blocks(noise, tau_fine, n_steps, realization, block_size):
-        yield block @ wt
-
-
-def write_increments_csv(path: BrownianPath, fh) -> None:
-    """Audit dump, one row per (step, mode): step, k, re, im."""
-    writer = csv.writer(fh)
-    writer.writerow(["step", "k", "re", "im"])
-    for n in range(path.n_steps):
-        row = path.increments[n]
-        for k in range(path.P):
-            writer.writerow([n, k + 1, repr(row[k].real), repr(row[k].imag)])
+    blocks = increment_blocks(noise, tau_fine, n_steps, realization, block_size)
+    for _ in range(0, n_steps, block_size):
+        yield next(blocks) @ wt  # never bound, so not held while suspended

@@ -1,5 +1,12 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import dsnls
 from dsnls.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
@@ -194,6 +201,7 @@ class TestCliRuns:
     def test_missing_config_flag(self, tmp_path):
         assert run(["charge", "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blowup_exit_code(self, tmp_path):
         cfg = tmp_path / "boom.cfg"
         cfg.write_text(TINY_CHARGE.replace(
@@ -210,6 +218,10 @@ class TestCliRuns:
         assert lines[0] == "step,t,node,re,im"
         # 16 steps at stride 4 -> snapshots at 0,4,8,12,16; J=4 nodes each
         assert len(lines) == 1 + 5 * 4
+        decimal = re.compile(r"-?\d+(\.\d+)?(e[-+]\d+)?")
+        for line in lines[1:]:
+            for cell in line.split(",")[3:]:
+                assert decimal.fullmatch(cell), cell
 
     def test_order_run_writes_fit(self, tmp_path):
         cfg = tmp_path / "order.cfg"
@@ -291,6 +303,16 @@ horizons = 0.25, 0.5
         out = capsys.readouterr().out
         assert "PASS energy-identity" in out
         assert "PASS conformal-multisymplectic" in out
+
+
+def test_python_m_dsnls_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(dsnls.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "dsnls", "presets"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert "fig1b" in proc.stdout
 
 
 class TestErgodicCli:

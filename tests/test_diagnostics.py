@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from dsnls.diagnostics import (
     READING_DECAY,
     READING_PRINTED,
-    TangentState,
     charge_limit_discrete,
     conformal_ms_residual,
     conformal_ms_terms,
@@ -23,7 +22,7 @@ from dsnls.diagnostics import (
     two_form_sample,
     z_view,
 )
-from dsnls.integrator import CutoffFunction, make_propagator, step, step_stages
+from dsnls.integrator import CutoffFunction, make_propagator, nonlinear_step, step
 from dsnls.model import ModelParams, NoiseSpec, make_grid, spectrum
 from dsnls.noise import forcing_weights, generate_path
 
@@ -97,7 +96,8 @@ class TestEnergyIdentity:
         params = ModelParams(alpha=0.9, lam=-1, epsilon=0.0)
         prop = make_propagator(grid, 2.0 ** -5, params.alpha)
         psi = _random_state(12, seed=1)
-        nxt, stage = step_stages(psi, prop, params, None)
+        nxt = step(psi, prop, params, None)
+        stage = prop.damping_factor * nonlinear_step(psi, params.lam, prop.tau)
         res = step_energy_residual(psi, nxt, stage, None, params, prop.tau)
         assert abs(res) <= 1e-12
 
@@ -109,7 +109,8 @@ class TestEnergyIdentity:
         g = forcing_weights(grid, noise, params.epsilon) @ generate_path(
             noise, prop.tau, 1, 0).increments[0]
         psi = _random_state(12, seed=3)
-        nxt, stage = step_stages(psi, prop, params, g)
+        nxt = step(psi, prop, params, g)
+        stage = prop.damping_factor * nonlinear_step(psi, params.lam, prop.tau)
         res = step_energy_residual(psi, nxt, stage, g, params, prop.tau)
         assert abs(res) <= 1e-10 * max(1.0, np.linalg.norm(psi) ** 2)
 
@@ -124,16 +125,16 @@ class TestTangent:
 
     def test_zero_tangent(self):
         _, params, prop, psi = self._setup()
-        out = tangent_step(psi, TangentState(np.zeros_like(psi)), prop, params)
-        assert np.all(out.dpsi == 0.0)
+        out = tangent_step(psi, np.zeros_like(psi), prop, params)
+        assert np.all(out == 0.0)
 
     def test_finite_difference_convergence(self):
         _, params, prop, psi = self._setup(seed=5)
-        d = TangentState(_random_state(10, seed=6))
-        exact = tangent_step(psi, d, prop, params).dpsi
+        d = _random_state(10, seed=6)
+        exact = tangent_step(psi, d, prop, params)
         errs = []
         for eps in (1e-4, 1e-5, 1e-6):
-            fd = (step(psi + eps * d.dpsi, prop, params, None)
+            fd = (step(psi + eps * d, prop, params, None)
                   - step(psi, prop, params, None)) / eps
             errs.append(np.abs(fd - exact).max())
         # first-order convergence in the probe size
@@ -143,52 +144,51 @@ class TestTangent:
     def test_suppressed_nonlinearity_gives_linear_map(self):
         _, params, prop, psi = self._setup(seed=7)
         cut = CutoffFunction(R=np.linalg.norm(psi) / 3.0)  # norm >= 2R: theta = 0
-        d = TangentState(_random_state(10, seed=8))
+        d = _random_state(10, seed=8)
         out = tangent_step(psi, d, prop, params, cutoff=cut)
-        np.testing.assert_array_equal(out.dpsi, propagate_tangent_linear(d.dpsi, prop))
+        np.testing.assert_array_equal(out, propagate_tangent_linear(d, prop))
 
     def test_truncated_jacobian_finite_difference_in_bridge(self):
-        from dsnls.integrator import step_truncated
         _, params, prop, psi = self._setup(seed=9)
         cut = CutoffFunction(R=np.linalg.norm(psi) / 1.5)  # inside the bridge region
-        d = TangentState(_random_state(10, seed=10))
-        exact = tangent_step(psi, d, prop, params, cutoff=cut).dpsi
+        d = _random_state(10, seed=10)
+        exact = tangent_step(psi, d, prop, params, cutoff=cut)
         eps = 1e-6
-        fd = (step_truncated(psi + eps * d.dpsi, prop, params, cut, None)
-              - step_truncated(psi, prop, params, cut, None)) / eps
+        fd = (step(psi + eps * d, prop, params, None, cutoff=cut)
+              - step(psi, prop, params, None, cutoff=cut)) / eps
         assert np.abs(fd - exact).max() <= 1e-4 * max(1.0, np.abs(exact).max())
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 1000), a=st.floats(-2, 2), b=st.floats(-2, 2))
     def test_linearity(self, seed, a, b):
         _, params, prop, psi = self._setup(seed=seed % 7)
-        xi = TangentState(_random_state(10, seed=seed))
-        zeta = TangentState(_random_state(10, seed=seed + 1))
-        combo = TangentState(a * xi.dpsi + b * zeta.dpsi)
-        lhs = tangent_step(psi, combo, prop, params).dpsi
-        rhs = (a * tangent_step(psi, xi, prop, params).dpsi
-               + b * tangent_step(psi, zeta, prop, params).dpsi)
+        xi = _random_state(10, seed=seed)
+        zeta = _random_state(10, seed=seed + 1)
+        combo = a * xi + b * zeta
+        lhs = tangent_step(psi, combo, prop, params)
+        rhs = (a * tangent_step(psi, xi, prop, params)
+               + b * tangent_step(psi, zeta, prop, params))
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(lhs).max())
 
 
 class TestNonlinearSymplectic:
     def test_tau_zero(self):
         psi = _random_state(8, seed=1)
-        xi = TangentState(_random_state(8, seed=2))
-        zeta = TangentState(_random_state(8, seed=3))
+        xi = _random_state(8, seed=2)
+        zeta = _random_state(8, seed=3)
         assert nonlinear_symplectic_residual(psi, xi, zeta, 1, 0.0) == 0.0
 
     def test_constant_modulus(self):
         psi = np.exp(1j * np.linspace(0, 2, 8))
-        xi = TangentState(_random_state(8, seed=4))
-        zeta = TangentState(_random_state(8, seed=5))
+        xi = _random_state(8, seed=4)
+        zeta = _random_state(8, seed=5)
         assert nonlinear_symplectic_residual(psi, xi, zeta, 1, 0.4) <= 1e-14
 
     def test_random_states(self):
         for seed in range(20):
             psi = _random_state(12, seed=seed)
-            xi = TangentState(_random_state(12, seed=100 + seed))
-            zeta = TangentState(_random_state(12, seed=200 + seed))
+            xi = _random_state(12, seed=100 + seed)
+            zeta = _random_state(12, seed=200 + seed)
             assert nonlinear_symplectic_residual(psi, xi, zeta, -1, 0.3) <= 1e-12
 
 
@@ -212,15 +212,15 @@ def _hand_built_terms(sample, tau, h, alpha):
     def wedge(a, B, b):
         return a @ B @ b - b @ B @ a
 
-    xi_n = views(sample.xi_before.dpsi)
-    zeta_n = views(sample.zeta_before.dpsi)
-    xi_np1 = views(sample.xi_after.dpsi)
-    zeta_np1 = views(sample.zeta_after.dpsi)
+    xi_n = views(sample.xi_before)
+    zeta_n = views(sample.zeta_before)
+    xi_np1 = views(sample.xi_after)
+    zeta_np1 = views(sample.zeta_after)
     damp = np.exp(-0.5 * alpha * tau)
     xi_mid = [0.5 * (a + damp * b) for a, b in zip(xi_np1, xi_n)]
     zeta_mid = [0.5 * (a + damp * b) for a, b in zip(zeta_np1, zeta_n)]
 
-    J = sample.xi_before.dpsi.shape[0]
+    J = sample.xi_before.shape[0]
     rows = []
     for j in range(1, J + 1):
         w_n = wedge(xi_n[j], M, zeta_n[j])
@@ -237,8 +237,8 @@ class TestConformalLaw:
     def _sample(self, J=2, seed=0, tau=2.0 ** -5, alpha=0.5):
         grid = make_grid(J)
         prop = make_propagator(grid, tau, alpha)
-        xi = TangentState(_random_state(J, seed=seed))
-        zeta = TangentState(_random_state(J, seed=seed + 1))
+        xi = _random_state(J, seed=seed)
+        zeta = _random_state(J, seed=seed + 1)
         return grid, prop, two_form_sample(xi, zeta, prop)
 
     def test_hand_built_j2_instance(self):
@@ -286,7 +286,7 @@ class TestConformalLaw:
     def test_identical_tangents_annihilate(self):
         grid = make_grid(3)
         prop = make_propagator(grid, 2.0 ** -5, 0.5)
-        xi = TangentState(_random_state(3, seed=9))
+        xi = _random_state(3, seed=9)
         sample = two_form_sample(xi, xi, prop)
         t_decay, t_printed, flux, diss = conformal_ms_terms(sample, prop.tau, grid.h, 0.5)
         for arr in (t_decay, t_printed, flux, diss):

@@ -3,7 +3,6 @@ import pytest
 
 from dsnls.diagnostics import charge_limit_discrete, discrete_charge
 from dsnls.harness import (
-    EnsembleBlowUp,
     ExperimentConfig,
     charge_experiment,
     ergodic_experiment,
@@ -13,7 +12,7 @@ from dsnls.harness import (
     resolve_initial,
     run_ensemble,
 )
-from dsnls.integrator import integrate, make_propagator
+from dsnls.integrator import BlowUpError, integrate, make_propagator
 from dsnls.model import GridSpec, ModelParams, NoiseSpec, spectrum
 from dsnls.noise import generate_path
 
@@ -140,10 +139,11 @@ class TestRunEnsemble:
         for i in range(1, len(ens.times)):
             assert abs(ens.mean[i, 0] - law[i]) <= 4.0 * ens.se[i, 0] + 1e-12
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blowup_carries_realization(self):
         cfg = _config(M=3, initial="explicit: 1e200+0j, 0, 0, 0, 0")
         h = cfg.grid.h
-        with pytest.raises(EnsembleBlowUp) as err:
+        with pytest.raises(BlowUpError) as err:
             run_ensemble(cfg, lambda psi: discrete_charge(psi, h))
         assert err.value.step_index == 1
         assert err.value.realization == 0
@@ -251,7 +251,7 @@ class TestMsError:
         # same realization stream and compare against the harness table;
         # both runs report R(tau/2) o Lie^N o R(-tau/2) at their own tau
         from dsnls.integrator import nonlinear_step, step
-        from dsnls.noise import coarsen, forcing_weights
+        from dsnls.noise import forcing_weights
 
         cfg = self._cfg(M=1, tau_ladder=(2.0 ** -7,))
         grid, params, noise = cfg.grid, cfg.params, cfg.noise
@@ -267,17 +267,25 @@ class TestMsError:
             fine = step(fine, prop_f, params, weights @ path.increments[n])
         fine = nonlinear_step(fine, lam, cfg.tau_ref / 2)
 
-        coarse_path = coarsen(path, 4)
+        coarse_increments = path.increments.reshape(n_fine // 4, 4, noise.P).sum(axis=1)
         tau_c = 2.0 ** -7
         prop_c = make_propagator(grid, tau_c, params.alpha)
         coarse = nonlinear_step(psi0, -lam, tau_c / 2)
-        for n in range(coarse_path.n_steps):
-            coarse = step(coarse, prop_c, params, weights @ coarse_path.increments[n])
+        for dbeta in coarse_increments:
+            coarse = step(coarse, prop_c, params, weights @ dbeta)
         coarse = nonlinear_step(coarse, lam, tau_c / 2)
 
         expected = float(np.sqrt(grid.h * (np.abs(fine - coarse) ** 2).sum()))
         rec = ms_error(cfg)
         assert rec.rows[0][2] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_blowup_carries_realization(self):
+        cfg = self._cfg(M=3, initial="explicit: 1e200+0j, 0, 0, 0")
+        with pytest.raises(BlowUpError) as err:
+            ms_error(cfg, chunk_size=2)
+        assert err.value.step_index == 1
+        assert err.value.realization == 0
 
     def test_horizon_table(self):
         cfg = self._cfg(kind="error", horizons=(0.125, 0.25), T=0.25)

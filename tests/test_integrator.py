@@ -6,13 +6,10 @@ from hypothesis import strategies as st
 from dsnls.integrator import (
     BlowUpError,
     CutoffFunction,
-    cutoff_theta,
     integrate,
     make_propagator,
     nonlinear_step,
     step,
-    step_stages,
-    step_truncated,
 )
 from dsnls.model import ModelParams, NoiseSpec, make_grid, spectrum
 from dsnls.noise import forcing_weights, generate_path, project_forcing
@@ -118,7 +115,8 @@ class TestStep:
         psi = _random_state(13, seed=6)
         rng = np.random.default_rng(8)
         g = rng.standard_normal(13) + 1j * rng.standard_normal(13)
-        nxt, damped = step_stages(psi, prop, params, g)
+        nxt = step(psi, prop, params, g)
+        damped = prop.damping_factor * nonlinear_step(psi, params.lam, tau)
         mid = 0.5 * (nxt + damped)
         amid = -2.0 * mid
         amid[1:] += mid[:-1]
@@ -154,11 +152,11 @@ class TestStep:
 class TestCutoff:
     def test_plateau_and_support(self):
         cut = CutoffFunction(R=3.0)
-        assert cutoff_theta(0.5, cut) == 1.0
-        assert cutoff_theta(1.0, cut) == 1.0
-        assert cutoff_theta(3.0, cut) == 0.0
-        assert cutoff_theta(2.0, cut) == 0.0
-        mid = cutoff_theta(1.5, cut)
+        assert cut.theta(0.5) == 1.0
+        assert cut.theta(1.0) == 1.0
+        assert cut.theta(3.0) == 0.0
+        assert cut.theta(2.0) == 0.0
+        mid = cut.theta(1.5)
         assert 0.0 < mid < 1.0
 
     def test_monotone_bridge(self):
@@ -187,7 +185,7 @@ class TestCutoff:
         with pytest.raises(ValueError):
             CutoffFunction(R=0.0)
         with pytest.raises(ValueError):
-            cutoff_theta(-0.5, CutoffFunction(R=1.0))
+            CutoffFunction(R=1.0).theta(-0.5)
 
 
 class TestTruncatedStep:
@@ -204,20 +202,20 @@ class TestTruncatedStep:
         _, params, prop, psi, g = self._setup()
         cut = CutoffFunction(R=2.0 * np.linalg.norm(psi))
         plain = step(psi, prop, params, g)
-        truncated = step_truncated(psi, prop, params, cut, g)
+        truncated = step(psi, prop, params, g, cutoff=cut)
         assert np.array_equal(plain, truncated)
 
     def test_fully_suppressed_beyond_two_radii(self):
         _, params, prop, psi, g = self._setup(seed=2)
         cut = CutoffFunction(R=np.linalg.norm(psi) / 2.5)  # norm > 2R
-        truncated = step_truncated(psi, prop, params, cut, g)
+        truncated = step(psi, prop, params, g, cutoff=cut)
         linear = prop.solve_minus(prop.apply_plus(prop.damping_factor * psi) + g)
         assert np.array_equal(truncated, linear)
 
     def test_huge_radius_limit(self):
         _, params, prop, psi, g = self._setup(seed=3)
         cut = CutoffFunction(R=1e300)
-        truncated = step_truncated(psi, prop, params, cut, g)
+        truncated = step(psi, prop, params, g, cutoff=cut)
         plain = step(psi, prop, params, g)
         assert np.abs(truncated - plain).max() <= 1e-15
 
@@ -271,6 +269,7 @@ class TestIntegrate:
                          n_steps=10, record_stride=4)
         np.testing.assert_array_equal(traj.step_indices, [0, 4, 8, 10])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blowup_raises_with_step_index(self):
         grid, params, noise, prop = self._base(eps=0.0)
         psi0 = np.full(6, 1e200 + 0j)  # |psi|^2 overflows inside the rotation
