@@ -23,6 +23,7 @@ from .diagnostics import run_diagnostic_suite
 from .harness import (
     CSV_SCHEMA_VERSION,
     PACKAGE_VERSION,
+    TOOLCHAIN,
     RunRecord,
     base_manifest,
     charge_experiment,
@@ -151,11 +152,10 @@ def _cmd_simulate(args) -> int:
         path = generate_path(config.noise, config.tau, config.n_steps, 0)
     traj = integrate(psi0, prop, config.params, config.noise, path,
                      n_steps=config.n_steps, record_stride=config.record_stride)
-    rows = []
-    for i, step_idx in enumerate(traj.step_indices):
-        for j in range(config.grid.J):
-            z = traj.states[i, j]
-            rows.append((int(step_idx), float(traj.times[i]), j + 1, z.real, z.imag))
+    rows = ((step_idx, t, j, z.real, z.imag)
+            for step_idx, t, state in zip(traj.step_indices.tolist(), traj.times.tolist(),
+                                          traj.states)
+            for j, z in enumerate(state.tolist(), start=1))
     manifest = base_manifest(config)
     manifest["wall_time_s"] = f"{time.perf_counter() - t0:.3f}"
     _write_csv(out / "trajectory.csv", ("step", "t", "node", "re", "im"), rows)
@@ -176,6 +176,7 @@ def _cmd_diagnose(args) -> int:
         "schema": CSV_SCHEMA_VERSION,
         "version": PACKAGE_VERSION,
         "generator": GENERATOR_NAME,
+        **TOOLCHAIN,
         "kind": "diagnose",
         "seed": str(seed),
     }

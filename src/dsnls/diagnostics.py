@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import cosdg
 
 from .integrator import (
     CutoffFunction,
@@ -327,7 +326,7 @@ def matrix_norm_A(J: int) -> float:
     """
     if J < 1:
         raise ValueError(f"J must be >= 1, got {J}")
-    closed = 2.0 + 2.0 * float(cosdg(180.0 / (J + 1)))
+    closed = 2.0 + 2.0 * float(np.cos(np.pi / (J + 1)))
     power = _norm_a_power(J)
     if abs(closed - power) > 1e-10:
         raise NumericalError(

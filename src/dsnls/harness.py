@@ -23,6 +23,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
 from .diagnostics import charge_limit_discrete, discrete_charge
 from .integrator import make_propagator, march, nonlinear_step, step
@@ -42,6 +43,7 @@ from .noise import (
 __all__ = [
     "PACKAGE_VERSION",
     "CSV_SCHEMA_VERSION",
+    "TOOLCHAIN",
     "OBSERVABLES",
     "ExperimentConfig",
     "RunRecord",
@@ -58,6 +60,10 @@ __all__ = [
 
 PACKAGE_VERSION = "0.1.0"
 CSV_SCHEMA_VERSION = "1"
+
+#: Library versions every manifest records: CSV bytes are reproducible per
+#: toolchain, since the linear solve is LAPACK's.
+TOOLCHAIN = {"numpy": np.__version__, "scipy": scipy.__version__}
 
 EXPERIMENT_KINDS = ("simulate", "charge", "ergodic", "error", "order")
 
@@ -173,6 +179,7 @@ def base_manifest(config: ExperimentConfig) -> dict:
         "schema": CSV_SCHEMA_VERSION,
         "version": PACKAGE_VERSION,
         "generator": GENERATOR_NAME,
+        **TOOLCHAIN,
         "kind": config.kind,
         "alpha": repr(config.params.alpha),
         "lambda": repr(config.params.lam),
@@ -243,8 +250,12 @@ def _batch_forcing(config: ExperimentConfig, tau: float, n_steps: int, realizati
     weights = forcing_weights(config.grid, config.noise, params.epsilon)
     streams = [forcing_blocks(weights, config.noise, tau, n_steps, r, _BLOCK_STEPS)
                for r in realizations]
-    for _ in range(0, n_steps, _BLOCK_STEPS):
-        yield from np.stack([next(s) for s in streams], axis=-1)  # (block, J, m)
+    for a in range(0, n_steps, _BLOCK_STEPS):
+        block = np.empty((min(_BLOCK_STEPS, n_steps - a), config.grid.J, len(streams)),
+                         dtype=complex)
+        for i, s in enumerate(streams):
+            block[:, :, i] = next(s)  # filled in place, so no block is held twice
+        yield from block
 
 
 def _record_steps(n_steps: int, stride: int, include_zero: bool = True) -> list:

@@ -10,10 +10,13 @@ stencil tridiag(1, -2, 1), and g the Karhunen-Loève forcing increment
 ε σ Λ δβ.  For α = 0 the linear substep is the Cayley transform of a
 skew-Hermitian matrix, hence an exact isometry.
 
-L₋ is constant in n, so it is eliminated once (Thomas factorization with
-complex coefficients) and every solve is O(J) per column.  All state
-operations accept (J,) vectors or (J, m) batches, one realization per
-column, and are column-wise deterministic.
+L₋ is constant in n, so it is factored once with LAPACK `zgttrf` (LU with
+partial pivoting) and every solve is one O(J)-per-column `zgttrs` call; on
+J <= 2, which the LAPACK wrappers reject, a Thomas elimination in numpy does
+both.  All state operations accept (J,) vectors or (J, m) batches, one
+realization per column, and are column-wise deterministic: `zgttrs` sweeps
+each right-hand side on its own, so a column's bits do not depend on how
+many columns are solved with it.
 
 With a cutoff, `step` scales the rotation angle by θ(‖Ψⁿ‖/R) with a smooth
 plateau cutoff θ (≡1 below R, ≡0 above 2R), which makes the drift globally
@@ -27,9 +30,10 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .model import GridSpec, ModelParams, NoiseSpec
-from .noise import BrownianPath, forcing_weights, project_forcing
+from .noise import FORCING_BLOCK_STEPS, BrownianPath, forcing_weights, project_forcing
 
 __all__ = [
     "NumericalError",
@@ -102,7 +106,9 @@ class LinearPropagator:
     """Precomputed linear substep: apply L₊ and solve with L₋, both O(J).
 
     L₋ = I - i τ/(2h²) A + (ατ/4) I is strictly diagonally dominant for
-    ατ >= 0, so the one-time elimination never hits a vanishing pivot.
+    ατ >= 0, so the one-time factorization is never singular.  `_factors`
+    holds the `zgttrf` output (dl, d, du, du2, ipiv), or the Thomas
+    (mult, piv) when J <= 2.
     """
 
     grid: GridSpec
@@ -112,8 +118,7 @@ class LinearPropagator:
     _off_minus: complex = field(repr=False, default=0j)
     _diag_plus: complex = field(repr=False, default=0j)
     _off_plus: complex = field(repr=False, default=0j)
-    _mult: np.ndarray = field(repr=False, default=None)
-    _piv: np.ndarray = field(repr=False, default=None)
+    _factors: tuple = field(repr=False, default=())
 
     @property
     def damping_factor(self) -> float:
@@ -135,8 +140,13 @@ class LinearPropagator:
         return y
 
     def solve_minus(self, b: np.ndarray) -> np.ndarray:
-        """x with L₋ x = b, reusing the precomputed elimination."""
-        return tridiag_solve(self._mult, self._piv, self._off_minus, b)
+        """x with L₋ x = b, reusing the one-time factorization; C-contiguous."""
+        if self.grid.J <= 2:
+            return tridiag_solve(*self._factors, self._off_minus, b)
+        x, _ = zgttrs(*self._factors, b)
+        # LAPACK hands back Fortran order, which slows the row-wise stencil
+        # and rotation of the next step
+        return np.ascontiguousarray(x)
 
     def propagate(self, x: np.ndarray) -> np.ndarray:
         """One application of L₋⁻¹ L₊ (an isometry when α = 0)."""
@@ -156,12 +166,19 @@ def make_propagator(grid: GridSpec, tau: float, alpha: float) -> LinearPropagato
     off_minus = complex(0.0, -r)
     diag_plus = complex(1.0 - a, -2.0 * r)
     off_plus = complex(0.0, r)
-    mult, piv = tridiag_factor(grid.J, diag_minus, off_minus)
+    J = grid.J
+    if J <= 2:  # scipy's zgttrf/zgttrs wrappers reject n <= 2
+        factors = tridiag_factor(J, diag_minus, off_minus)
+    else:
+        off = np.full(J - 1, off_minus)
+        *factors, info = zgttrf(off, np.full(J, diag_minus), off)
+        if info != 0:
+            raise NumericalError(f"L- is singular (zgttrf info {info})")
     return LinearPropagator(
         grid=grid, tau=tau, alpha=alpha,
         _diag_minus=diag_minus, _off_minus=off_minus,
         _diag_plus=diag_plus, _off_plus=off_plus,
-        _mult=mult, _piv=piv,
+        _factors=tuple(factors),
     )
 
 
@@ -322,7 +339,11 @@ def integrate(psi0: np.ndarray, prop: LinearPropagator, params: ModelParams,
     forcing = itertools.repeat(None)
     if path is not None and params.epsilon > 0.0:
         weights = forcing_weights(prop.grid, noise, params.epsilon)
-        forcing = iter(project_forcing(path.increments[:n_steps], weights))
+        # projected block by block, the blocks ensembles use, so that the whole
+        # (n_steps, J) forcing is never held at once
+        forcing = itertools.chain.from_iterable(
+            project_forcing(path.increments[a:min(a + FORCING_BLOCK_STEPS, n_steps)], weights)
+            for a in range(0, n_steps, FORCING_BLOCK_STEPS))
 
     snaps = []
     snap_steps = []

@@ -4,7 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
 import dsnls
 from dsnls.cli import (
@@ -168,6 +170,8 @@ class TestCliRuns:
         manifest = (out1 / "manifest.txt").read_text()
         for key in ("alpha", "epsilon", "tau", "seed", "generator", "schema"):
             assert key in manifest
+        assert f"numpy = {numpy.__version__}" in manifest
+        assert f"scipy = {scipy.__version__}" in manifest
 
     def test_seed_changes_output(self, tmp_path):
         cfg = tmp_path / "charge.cfg"
@@ -297,6 +301,7 @@ horizons = 0.25, 0.5
         lines = (out / "diagnostics.csv").read_text().strip().splitlines()
         assert lines[0] == "check,step,node,residual,tolerance,passed"
         assert all(line.endswith("True") for line in lines[1:])
+        assert f"scipy = {scipy.__version__}" in (out / "manifest.txt").read_text()
 
     def test_diagnose_prints_pass_lines(self, capsys, tmp_path):
         run(["diagnose", "--out", str(tmp_path / "d")])
@@ -313,6 +318,18 @@ def test_python_m_dsnls_runs_the_cli():
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0
     assert "fig1b" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # scipy.special would add its import time and memory to every run
+    env = dict(os.environ)
+    src = str(Path(dsnls.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, dsnls.cli; print('scipy.special' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestErgodicCli:

@@ -96,6 +96,38 @@ class TestPropagator:
         np.testing.assert_allclose(prop.solve_minus(b), np.linalg.solve(lminus, b),
                                    rtol=0, atol=1e-13)
 
+    # A backward-stable solve of this L₋ (condition number about 2e3 at
+    # J = 1000) agrees with a dense LU solve to a few hundred ulps.
+    SOLVE_RTOL = 1e3 * np.finfo(complex).eps
+
+    @pytest.mark.parametrize("J", [1, 2, 3, 9, 1000])
+    def test_solve_matches_numpy_solve(self, J):
+        grid = make_grid(J)
+        tau, alpha = 2.0 ** -10, 0.5
+        prop = make_propagator(grid, tau, alpha)
+        A = (np.diag(-2.0 * np.ones(J)) + np.diag(np.ones(J - 1), 1)
+             + np.diag(np.ones(J - 1), -1))
+        lminus = np.eye(J) - 1j * tau / (2 * grid.h ** 2) * A + 0.25 * alpha * tau * np.eye(J)
+        b = np.stack([_random_state(J, seed=s) for s in range(3)], axis=1)
+        x = prop.solve_minus(b)
+        ref = np.linalg.solve(lminus, b)
+        assert np.abs(x - ref).max() <= self.SOLVE_RTOL * np.abs(ref).max()
+
+    @pytest.mark.parametrize("J", [1, 2, 3, 9, 100])
+    def test_solve_is_column_wise(self, J):
+        # Thomas path (J <= 2) and LAPACK path (J >= 3) alike: a column's bits
+        # do not depend on the batch it is solved in, which chunk invariance needs
+        prop = make_propagator(make_grid(J), 2.0 ** -6, 0.5)
+        batch = np.stack([_random_state(J, seed=s) for s in range(7)], axis=1)
+        x = prop.solve_minus(batch)
+        assert x.shape == (J, 7) and x.flags.c_contiguous
+        for i in range(7):
+            np.testing.assert_array_equal(prop.solve_minus(batch[:, i:i + 1])[:, 0], x[:, i])
+            single = prop.solve_minus(batch[:, i])
+            assert single.shape == (J,)
+            np.testing.assert_array_equal(single, x[:, i])
+        np.testing.assert_array_equal(prop.solve_minus(batch[:, 2:5]), x[:, 2:5])
+
 
 class TestStep:
     def test_zero_fixed_point(self):
@@ -235,6 +267,27 @@ class TestIntegrate:
         assert traj.states.shape == (1, 6)
         np.testing.assert_array_equal(traj.states[0], psi0)
         assert traj.times[0] == 0.0
+
+    def test_zero_steps_along_a_path(self):
+        grid, params, noise, prop = self._base()
+        psi0 = _random_state(6)
+        path = generate_path(noise, prop.tau, 5, 0)
+        traj = integrate(psi0, prop, params, noise, path, n_steps=0)
+        assert traj.states.shape == (1, 6)
+        np.testing.assert_array_equal(traj.states[0], psi0)
+
+    def test_truncated_long_path_matches_manual_loop(self):
+        # more steps than one forcing block, and fewer than the path holds
+        grid, params, noise, prop = self._base(seed=5)
+        psi0 = _random_state(6, seed=7)
+        path = generate_path(noise, prop.tau, 700, 1)
+        g_all = project_forcing(path.increments, forcing_weights(grid, noise, params.epsilon))
+        psi = psi0.copy()
+        for n in range(600):
+            psi = step(psi, prop, params, g_all[n])
+        traj = integrate(psi0, prop, params, noise, path, n_steps=600, record_stride=300)
+        np.testing.assert_array_equal(traj.step_indices, [0, 300, 600])
+        np.testing.assert_array_equal(traj.states[-1], psi)
 
     def test_deterministic_charge_decay(self):
         grid, params, noise, prop = self._base(eps=0.0)
