@@ -1,7 +1,7 @@
 """Structure-preserving splitting scheme for the damped stochastic cubic
 Schrödinger equation, with diagnostics and Monte Carlo experiments."""
 
-from .harness import PACKAGE_VERSION as __version__
+__version__ = "0.1.0"
 
 from .model import (
     GridSpec,
@@ -51,7 +51,6 @@ from .harness import (
     jackknife_se,
     ms_error,
     order_fit,
-    run_ensemble,
 )
 from .config import ConfigError, parse_config, serialize_config
 from .presets import preset_config

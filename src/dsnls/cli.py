@@ -21,9 +21,7 @@ from pathlib import Path
 from .config import ConfigError, parse_config, serialize_config
 from .diagnostics import run_diagnostic_suite
 from .harness import (
-    CSV_SCHEMA_VERSION,
-    PACKAGE_VERSION,
-    TOOLCHAIN,
+    PROVENANCE,
     RunRecord,
     base_manifest,
     charge_experiment,
@@ -33,7 +31,7 @@ from .harness import (
     resolve_initial,
 )
 from .integrator import BlowUpError, integrate, make_propagator
-from .noise import GENERATOR_NAME, generate_path
+from .noise import generate_path
 from .presets import preset_config, preset_lines
 
 __all__ = ["main", "run"]
@@ -172,14 +170,7 @@ def _cmd_diagnose(args) -> int:
     _write_csv(out / "diagnostics.csv",
                ("check", "step", "node", "residual", "tolerance", "passed"),
                [(r.check, r.step, r.node, r.residual, r.tolerance, r.passed) for r in rows])
-    manifest = {
-        "schema": CSV_SCHEMA_VERSION,
-        "version": PACKAGE_VERSION,
-        "generator": GENERATOR_NAME,
-        **TOOLCHAIN,
-        "kind": "diagnose",
-        "seed": str(seed),
-    }
+    manifest = {**PROVENANCE, "kind": "diagnose", "seed": str(seed)}
     _write_manifest(out / "manifest.txt", manifest, None, "diagnose", args.set or [])
     failures = [r for r in rows if not r.passed]
     by_check = {}

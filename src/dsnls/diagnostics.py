@@ -27,6 +27,8 @@ from .integrator import (
     CutoffFunction,
     LinearPropagator,
     NumericalError,
+    _abs2,
+    column_norm2,
     tridiag_factor,
     tridiag_solve,
 )
@@ -53,13 +55,9 @@ __all__ = [
 ]
 
 
-def _abs2(psi):
-    return psi.real ** 2 + psi.imag ** 2
-
-
 def discrete_charge(psi: np.ndarray, h: float):
-    """h Σ_j |ψ_j|²; per column for (J, m) batches."""
-    return h * _abs2(np.asarray(psi)).sum(axis=0)
+    """h Σ_j |ψ_j|²; per column, summed in node order, for (J, m) batches."""
+    return h * column_norm2(np.asarray(psi))
 
 
 def mean_charge_law(t, charge0: float, params: ModelParams, eta_total: float):

@@ -4,15 +4,17 @@ Experiments are described by an immutable `ExperimentConfig` and produce a
 `RunRecord`: one statistics table plus a manifest echoing every knob that
 affects the numbers.  Re-running a config reproduces the table bit-for-bit.
 
-Realizations are independent columns of a batched state array, each fed from
-its own counter-based noise stream, so the aggregate is a pure function of
-(config, base seed): neither the chunk size used to batch realizations nor
-any scheduling order changes a single bit.  Reductions always run in
-realization-index order.
+One driver, `_sweep`, runs every ensemble.  It batches the realizations in
+chunks, starts each column from Ψ⁰, feeds column i from realization i's own
+counter-based noise stream and steps the batch with `march`, handing each
+state Ψⁿ, with the forcing gⁿ that produced it, to the experiment.  Columns
+never mix and node sums run in node order (`column_norm2`), so the aggregate
+is a pure function of (config, base seed): neither the chunk size used to
+batch realizations, 1 included, nor any scheduling order changes a single
+bit.  Reductions over realizations run in index order.
 
 Mean-square error studies couple every coarse run to the fine reference by
-feeding it the block-sums of the same projected forcing increments the
-reference consumed.
+feeding it the block-sums of the gⁿ the reference consumed.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy
 
+from . import __version__
 from .diagnostics import charge_limit_discrete, discrete_charge
-from .integrator import make_propagator, march, nonlinear_step, step
+from .integrator import column_norm2, make_propagator, march, nonlinear_step, step
 from .model import (
     GridSpec,
     ModelParams,
@@ -41,16 +44,13 @@ from .noise import (
 )
 
 __all__ = [
-    "PACKAGE_VERSION",
     "CSV_SCHEMA_VERSION",
-    "TOOLCHAIN",
+    "PROVENANCE",
     "OBSERVABLES",
     "ExperimentConfig",
     "RunRecord",
-    "EnsembleResult",
     "OrderFit",
     "resolve_initial",
-    "run_ensemble",
     "charge_experiment",
     "ergodic_experiment",
     "ms_error",
@@ -58,12 +58,17 @@ __all__ = [
     "jackknife_se",
 ]
 
-PACKAGE_VERSION = "0.1.0"
 CSV_SCHEMA_VERSION = "1"
 
-#: Library versions every manifest records: CSV bytes are reproducible per
-#: toolchain, since the linear solve is LAPACK's.
-TOOLCHAIN = {"numpy": np.__version__, "scipy": scipy.__version__}
+#: The lines every manifest opens with.  CSV bytes are reproducible per
+#: toolchain, since the linear solve is LAPACK's, so numpy and scipy are named.
+PROVENANCE = {
+    "schema": CSV_SCHEMA_VERSION,
+    "version": __version__,
+    "generator": GENERATOR_NAME,
+    "numpy": np.__version__,
+    "scipy": scipy.__version__,
+}
 
 EXPERIMENT_KINDS = ("simulate", "charge", "ergodic", "error", "order")
 
@@ -176,10 +181,7 @@ class RunRecord:
 
 def base_manifest(config: ExperimentConfig) -> dict:
     man = {
-        "schema": CSV_SCHEMA_VERSION,
-        "version": PACKAGE_VERSION,
-        "generator": GENERATOR_NAME,
-        **TOOLCHAIN,
+        **PROVENANCE,
         "kind": config.kind,
         "alpha": repr(config.params.alpha),
         "lambda": repr(config.params.lam),
@@ -265,49 +267,21 @@ def _record_steps(n_steps: int, stride: int, include_zero: bool = True) -> list:
     return ([0] if include_zero else []) + steps
 
 
-@dataclass(frozen=True)
-class EnsembleResult:
-    """Per-realization observable values plus their index-ordered aggregates."""
+def _sweep(config: ExperimentConfig, prop, psi0: np.ndarray, chunk_size):
+    """Run every realization from `psi0` for config.n_steps steps of prop.tau.
 
-    times: np.ndarray       # (n_rec,)
-    values: np.ndarray      # (M, n_rec, n_obs)
-    mean: np.ndarray        # (n_rec, n_obs)
-    se: np.ndarray          # (n_rec, n_obs)
-
-
-def run_ensemble(config: ExperimentConfig, consumer, chunk_size=None,
-                 initial=None) -> EnsembleResult:
-    """Monte Carlo sweep: apply `consumer(psi_block) -> (n_obs, m)` at every
-    recorded step of every realization and aggregate in realization order.
-
-    The result is independent of `chunk_size` (a pure batching knob).
+    Yields (lo, hi, n, Ψⁿ, gⁿ) chunk by chunk and step by step: Ψⁿ holds
+    realizations lo..hi-1 as columns and gⁿ is the (J, hi - lo) forcing the
+    step into Ψⁿ took, None at n = 0 and when ε = 0.  `march` raises
+    `BlowUpError` naming the realization.
     """
-    grid = config.grid
-    psi0 = resolve_initial(grid, config.initial if initial is None else initial)
-    prop = make_propagator(grid, config.tau, config.params.alpha)
-    rec_steps = _record_steps(config.n_steps, config.record_stride)
-    rec_index = {s: i for i, s in enumerate(rec_steps)}
-
-    def observe(psi):
-        # a state too large to square observes as inf; march reports the blow-up
-        with np.errstate(over="ignore"):
-            return np.atleast_2d(np.asarray(consumer(psi)))
-
-    n_obs = observe(psi0[:, None]).shape[0]
-    values = np.empty((config.M, len(rec_steps), n_obs))
-
     for lo, hi in _chunks(config.M, chunk_size):
+        forcing, taken = itertools.tee(
+            _batch_forcing(config, prop.tau, config.n_steps, range(lo, hi)))
         psi = np.tile(psi0[:, None], (1, hi - lo))
-        forcing = _batch_forcing(config, config.tau, config.n_steps, range(lo, hi))
         for n, psi in march(psi, prop, config.params, forcing, config.n_steps,
                             first_realization=lo):
-            i = rec_index.get(n)
-            if i is not None:
-                values[lo:hi, i, :] = observe(psi).T
-    mean = values.mean(axis=0)
-    se = jackknife_se(values)
-    times = np.asarray(rec_steps) * config.tau
-    return EnsembleResult(times=times, values=values, mean=mean, se=se)
+            yield lo, hi, n, psi, None if n == 0 else next(taken)
 
 
 def charge_experiment(config: ExperimentConfig, chunk_size=None) -> RunRecord:
@@ -315,17 +289,27 @@ def charge_experiment(config: ExperimentConfig, chunk_size=None) -> RunRecord:
     exponential-relaxation overlay toward the stationary plateau."""
     t0 = time.perf_counter()
     h = config.grid.h
-    ens = run_ensemble(config, lambda psi: discrete_charge(psi, h), chunk_size)
-    limit = charge_limit_discrete(config.grid, config.noise, config.params)
     psi0 = resolve_initial(config.grid, config.initial)
+    prop = make_propagator(config.grid, config.tau, config.params.alpha)
+    rec_steps = _record_steps(config.n_steps, config.record_stride)
+    rec_index = {s: i for i, s in enumerate(rec_steps)}
+    values = np.empty((config.M, len(rec_steps)))
+    for lo, hi, n, psi, _ in _sweep(config, prop, psi0, chunk_size):
+        i = rec_index.get(n)
+        if i is not None:
+            # a state too large to square observes as inf; march reports the blow-up
+            with np.errstate(over="ignore"):
+                values[lo:hi, i] = discrete_charge(psi, h)
+    limit = charge_limit_discrete(config.grid, config.noise, config.params)
     charge0 = float(discrete_charge(psi0, h))
-    decay = np.exp(-2.0 * config.params.alpha * ens.times)
+    times = np.asarray(rec_steps) * config.tau
+    decay = np.exp(-2.0 * config.params.alpha * times)
     analytic = decay * charge0 + limit * (1.0 - decay)
 
-    rec_steps = _record_steps(config.n_steps, config.record_stride)
     rows = tuple(
         (int(s), float(t), float(m), float(e), float(a))
-        for s, t, m, e, a in zip(rec_steps, ens.times, ens.mean[:, 0], ens.se[:, 0], analytic)
+        for s, t, m, e, a in zip(rec_steps, times, values.mean(axis=0),
+                                 jackknife_se(values), analytic)
     )
     manifest = base_manifest(config)
     manifest["wall_time_s"] = f"{time.perf_counter() - t0:.3f}"
@@ -352,20 +336,16 @@ def ergodic_experiment(config: ExperimentConfig, chunk_size=None) -> RunRecord:
     for initial in config.initials:
         psi0 = resolve_initial(config.grid, initial)
         values = np.empty((config.M, len(rec_steps), n_obs))
-        for lo, hi in _chunks(config.M, chunk_size):
-            sums = np.zeros((n_obs, hi - lo))
-            psi = np.tile(psi0[:, None], (1, hi - lo))
-            forcing = _batch_forcing(config, config.tau, config.n_steps, range(lo, hi))
-            for n, psi in march(psi, prop, config.params, forcing, config.n_steps,
-                                first_realization=lo):
-                if n == 0:
-                    continue
-                i = rec_index.get(n)
-                if i is not None:
-                    values[lo:hi, i, :] = (sums / n).T
-                norm2 = (psi.real ** 2 + psi.imag ** 2).sum(axis=0)
-                for k, fn in enumerate(obs_fns):
-                    sums[k] += fn(norm2)
+        for lo, hi, n, psi, _ in _sweep(config, prop, psi0, chunk_size):
+            if n == 0:
+                sums = np.zeros((n_obs, hi - lo))
+                continue
+            i = rec_index.get(n)
+            if i is not None:
+                values[lo:hi, i, :] = (sums / n).T
+            norm2 = column_norm2(psi)
+            for k, fn in enumerate(obs_fns):
+                sums[k] += fn(norm2)
         mean = values.mean(axis=0)
         se = jackknife_se(values)
         for i, s in enumerate(rec_steps):
@@ -402,7 +382,6 @@ def ms_error(config: ExperimentConfig, chunk_size=None) -> RunRecord:
     grid = config.grid
     params = config.params
     horizons = config.horizons if config.kind == "error" else (config.T,)
-    n_fine = round(config.T / config.tau_ref)
     ratios = [round(tc / config.tau_ref) for tc in config.tau_ladder]
     horizon_steps = {round(t_h / config.tau_ref): t_h for t_h in horizons}
 
@@ -419,31 +398,22 @@ def ms_error(config: ExperimentConfig, chunk_size=None) -> RunRecord:
         fine0 = nonlinear_step(psi0, -lam, 0.5 * config.tau_ref)
         coarse0 = [nonlinear_step(psi0, -lam, 0.5 * tc) for tc in config.tau_ladder]
 
-    for lo, hi in _chunks(config.M, chunk_size):
-        m = hi - lo
-        coarse = [np.tile(c0[:, None], (1, m)) for c0 in coarse0]
-        acc = [np.zeros((grid.J, m), dtype=complex) for _ in ratios]
-        fine_forcing, consumed = itertools.tee(
-            _batch_forcing(config, config.tau_ref, n_fine, range(lo, hi)))
-        fine = np.tile(fine0[:, None], (1, m))
-        for n, fine in march(fine, prop_fine, params, fine_forcing, n_fine,
-                             first_realization=lo):
-            if n == 0:
-                continue
-            g = next(consumed)  # the increment the fine run just took
-            for c, ratio in enumerate(ratios):
-                if g is not None:
-                    acc[c] += g
-                if n % ratio == 0:
-                    coarse[c] = step(coarse[c], props[c], params,
-                                     None if g is None else acc[c])
-                    acc[c][:] = 0.0
-            if n in horizon_steps:
-                fine_out = nonlinear_step(fine, lam, 0.5 * config.tau_ref)
-                for c, tc in enumerate(config.tau_ladder):
-                    diff = fine_out - nonlinear_step(coarse[c], lam, 0.5 * tc)
-                    sq[lo:hi, c, h_idx[n]] = grid.h * (
-                        diff.real ** 2 + diff.imag ** 2).sum(axis=0)
+    for lo, hi, n, fine, g in _sweep(config, prop_fine, fine0, chunk_size):
+        if n == 0:
+            coarse = [np.tile(c0[:, None], (1, hi - lo)) for c0 in coarse0]
+            acc = [np.zeros_like(c) for c in coarse]
+            continue
+        for c, ratio in enumerate(ratios):
+            if g is not None:
+                acc[c] += g
+            if n % ratio == 0:
+                coarse[c] = step(coarse[c], props[c], params, None if g is None else acc[c])
+                acc[c][:] = 0.0
+        if n in horizon_steps:
+            fine_out = nonlinear_step(fine, lam, 0.5 * config.tau_ref)
+            for c, tc in enumerate(config.tau_ladder):
+                diff = fine_out - nonlinear_step(coarse[c], lam, 0.5 * tc)
+                sq[lo:hi, c, h_idx[n]] = grid.h * column_norm2(diff)
 
     rows = []
     err_table = {}

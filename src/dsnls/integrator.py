@@ -41,6 +41,7 @@ __all__ = [
     "LinearPropagator",
     "CutoffFunction",
     "Trajectory",
+    "column_norm2",
     "make_propagator",
     "nonlinear_step",
     "step",
@@ -186,6 +187,18 @@ def _abs2(psi: np.ndarray) -> np.ndarray:
     return psi.real ** 2 + psi.imag ** 2
 
 
+def column_norm2(psi: np.ndarray):
+    """Σ_j |ψ_j|²: numpy's sum for a (J,) state, and per column for a (J, m)
+    batch, adding the rows in node order.
+
+    numpy adds the rows of a batch in order when m >= 2 but sums a lone
+    (J, 1) column pairwise; the running sum gives every width the bits of
+    the in-order sum, so no chunk size changes a column's norm.
+    """
+    a2 = _abs2(psi)
+    return a2.sum() if a2.ndim == 1 else np.cumsum(a2, axis=0)[-1]
+
+
 def _rotate(psi: np.ndarray, lam: int, tau: float, scale) -> np.ndarray:
     # scale is 1.0 for the plain scheme or θ(‖Ψ‖/R) per column when truncated;
     # multiplying by exactly 1.0 keeps the two code paths bit-identical.
@@ -245,7 +258,7 @@ class CutoffFunction:
 
     def scale(self, psi: np.ndarray):
         """θ(‖Ψ‖/R) per column; the factor applied to the rotation angle."""
-        norm = np.sqrt(_abs2(psi).sum(axis=0))
+        norm = np.sqrt(column_norm2(psi))
         return self.theta(norm / self.R)
 
 

@@ -310,6 +310,52 @@ horizons = 0.25, 0.5
         assert "PASS conformal-multisymplectic" in out
 
 
+class TestChunkInvariance:
+    # J = 9 everywhere: numpy sums a lone column of 8 or more nodes pairwise,
+    # so chunk size 1 is where an unordered node sum would show
+    CASES = {
+        "charge": ["--preset", "fig1b", "--set", "T=0.5"],
+        "ergodic": ["--preset", "fig2", "--set", "T=0.5", "--set", "record_stride=8"],
+        "error": ["--preset", "fig3", "--set", "J=9", "--set", "T=0.5",
+                  "--set", "horizons=0.25, 0.5"],
+        "order": ["--preset", "fig4-stoch", "--set", "T=2^-5"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_csv_bytes_independent_of_chunk_size(self, command, tmp_path):
+        m = 5
+        argv = [command, *self.CASES[command], "--set", f"M={m}"]
+        assert run([*argv, "--out", str(tmp_path / "default")]) == EXIT_OK
+        expected = {f.name: f.read_bytes() for f in (tmp_path / "default").glob("*.csv")}
+        assert f"{command}.csv" in expected
+        for chunk in (1, 3, m - 1):
+            out = tmp_path / f"chunk{chunk}"
+            assert run([*argv, "--chunk-size", str(chunk), "--out", str(out)]) == EXIT_OK
+            assert {f.name: f.read_bytes() for f in out.glob("*.csv")} == expected, chunk
+
+
+def test_commands_call_their_experiment_through_cli_globals(tmp_path, monkeypatch):
+    # perfbench/child.py times each run by replacing these cli attributes; a
+    # command that bypassed them would leave every benchmark operation unstamped
+    import dsnls.cli as cli
+
+    calls = {}
+    for name in ("charge_experiment", "ms_error", "integrate"):
+        def counted(*args, _fn=getattr(cli, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cli, name, counted)
+    tiny = ["--set", "M=2", "--set", "T=2^-5"]
+    for argv, name in (
+        (["charge", "--preset", "fig1b", *tiny], "charge_experiment"),
+        (["order", "--preset", "fig4-stoch", *tiny], "ms_error"),
+        (["simulate", "--preset", "fig1b", "--set", "kind=simulate", *tiny], "integrate"),
+    ):
+        calls.clear()
+        assert run([*argv, "--out", str(tmp_path / argv[0])]) == EXIT_OK
+        assert calls == {name: 1}
+
+
 def test_python_m_dsnls_runs_the_cli():
     env = dict(os.environ)
     src = str(Path(dsnls.__file__).resolve().parents[1])

@@ -9,8 +9,8 @@ from dsnls.harness import (
     jackknife_se,
     ms_error,
     order_fit,
+    _sweep,
     resolve_initial,
-    run_ensemble,
 )
 from dsnls.integrator import BlowUpError, integrate, make_propagator
 from dsnls.model import GridSpec, ModelParams, NoiseSpec, spectrum
@@ -102,26 +102,25 @@ class TestJackknife:
 
 
 class TestRunEnsemble:
+    """The ensemble driver, seen through the charge experiment it feeds."""
+
     def test_single_realization_matches_integrate(self):
         cfg = _config(M=1, record_stride=8)
         h = cfg.grid.h
-        ens = run_ensemble(cfg, lambda psi: discrete_charge(psi, h))
+        rec = charge_experiment(cfg)
         prop = make_propagator(cfg.grid, cfg.tau, cfg.params.alpha)
         path = generate_path(cfg.noise, cfg.tau, cfg.n_steps, 0)
         traj = integrate(resolve_initial(cfg.grid, "sine"), prop, cfg.params,
                          cfg.noise, path, record_stride=8)
         direct = discrete_charge(traj.states.T, h)
-        np.testing.assert_array_equal(ens.values[0, :, 0], direct)
+        np.testing.assert_array_equal([row[2] for row in rec.rows], direct)
+        assert all(row[3] == 0.0 for row in rec.rows)
 
     def test_chunk_size_invariance(self):
         cfg = _config(M=7)
-        h = cfg.grid.h
-        results = [run_ensemble(cfg, lambda psi: discrete_charge(psi, h), chunk_size=c)
-                   for c in (None, 1, 3)]
-        for other in results[1:]:
-            np.testing.assert_array_equal(results[0].values, other.values)
-            np.testing.assert_array_equal(results[0].mean, other.mean)
-            np.testing.assert_array_equal(results[0].se, other.se)
+        records = [charge_experiment(cfg, chunk_size=c) for c in (None, 1, 3)]
+        for other in records[1:]:
+            assert other.rows == records[0].rows
 
     def test_mc_mean_tracks_charge_law(self):
         # statistical: 4 standard errors around the discrete analogue of the
@@ -130,21 +129,20 @@ class TestRunEnsemble:
                       record_stride=32,
                       noise=NoiseSpec(P=4, eta=spectrum("power-law(6)", 4), seed=7))
         h = cfg.grid.h
-        ens = run_ensemble(cfg, lambda psi: discrete_charge(psi, h))
+        rec = charge_experiment(cfg)
         limit = charge_limit_discrete(cfg.grid, cfg.noise, cfg.params)
         psi0 = resolve_initial(cfg.grid, "sine")
         c0 = float(discrete_charge(psi0, h))
-        decay = np.exp(-2.0 * cfg.params.alpha * ens.times)
-        law = decay * c0 + limit * (1.0 - decay)
-        for i in range(1, len(ens.times)):
-            assert abs(ens.mean[i, 0] - law[i]) <= 4.0 * ens.se[i, 0] + 1e-12
+        for _, t, mean, se, _ in rec.rows[1:]:
+            decay = np.exp(-2.0 * cfg.params.alpha * t)
+            law = decay * c0 + limit * (1.0 - decay)
+            assert abs(mean - law) <= 4.0 * se + 1e-12
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blowup_carries_realization(self):
         cfg = _config(M=3, initial="explicit: 1e200+0j, 0, 0, 0, 0")
-        h = cfg.grid.h
         with pytest.raises(BlowUpError) as err:
-            run_ensemble(cfg, lambda psi: discrete_charge(psi, h))
+            charge_experiment(cfg)
         assert err.value.step_index == 1
         assert err.value.realization == 0
 
@@ -155,11 +153,24 @@ class TestRunEnsemble:
         # plus a 4-sigma Monte Carlo margin.
         cfg = _config(M=64, grid=GridSpec(J=9), T=20.0, record_stride=8,
                       noise=NoiseSpec(P=100, eta=spectrum("power-law(6)", 100), seed=21))
-        h = cfg.grid.h
-        ens = run_ensemble(cfg, lambda psi: discrete_charge(psi, h))
-        charge0 = ens.mean[0, 0]
-        bound = np.exp(-cfg.params.alpha * ens.times) * charge0 + 2.5
-        assert np.all(ens.mean[:, 0] <= bound)
+        rec = charge_experiment(cfg)
+        times = np.array([row[1] for row in rec.rows])
+        means = np.array([row[2] for row in rec.rows])
+        bound = np.exp(-cfg.params.alpha * times) * means[0] + 2.5
+        assert np.all(means <= bound)
+
+    @pytest.mark.parametrize("J", [2, 9, 1000])
+    def test_integrate_equals_column_zero_of_a_batch(self, J):
+        # a lone trajectory and realization 0 of a three-column batch take
+        # the same steps bit for bit, on the Thomas (J <= 2) and LAPACK paths
+        cfg = _config(M=3, grid=GridSpec(J=J), tau=2.0 ** -10, T=2.0 ** -7)
+        prop = make_propagator(cfg.grid, cfg.tau, cfg.params.alpha)
+        psi0 = resolve_initial(cfg.grid, "sine")
+        path = generate_path(cfg.noise, cfg.tau, cfg.n_steps, 0)
+        traj = integrate(psi0, prop, cfg.params, cfg.noise, path)
+        batch = [psi[:, 0].copy() for _, _, _, psi, _ in _sweep(cfg, prop, psi0, None)]
+        assert len(batch) == cfg.n_steps + 1
+        np.testing.assert_array_equal(traj.states, np.array(batch))
 
 
 class TestChargeExperiment:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from dsnls.integrator import (
     BlowUpError,
     CutoffFunction,
+    column_norm2,
     integrate,
     make_propagator,
     nonlinear_step,
@@ -127,6 +128,25 @@ class TestPropagator:
             assert single.shape == (J,)
             np.testing.assert_array_equal(single, x[:, i])
         np.testing.assert_array_equal(prop.solve_minus(batch[:, 2:5]), x[:, 2:5])
+
+
+class TestColumnNorm2:
+    @pytest.mark.parametrize("J", [1, 2, 9, 17, 100])
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_rows_added_in_node_order(self, J, m):
+        rng = np.random.default_rng(J * 10 + m)
+        psi = rng.standard_normal((J, m)) + 1j * rng.standard_normal((J, m))
+        a2 = psi.real ** 2 + psi.imag ** 2
+        expected = a2[0].copy()
+        for row in a2[1:]:
+            expected += row
+        np.testing.assert_array_equal(column_norm2(psi), expected)
+        # a column's sum does not depend on how many columns come with it
+        np.testing.assert_array_equal(column_norm2(psi[:, :1]), expected[:1])
+
+    def test_flat_state_keeps_numpy_sum(self):
+        psi = _random_state(100)
+        assert column_norm2(psi) == (psi.real ** 2 + psi.imag ** 2).sum()
 
 
 class TestStep:
