@@ -117,9 +117,20 @@ class TestRunEnsemble:
         assert all(row[3] == 0.0 for row in rec.rows)
 
     def test_chunk_size_invariance(self):
-        cfg = _config(M=7)
+        # J = 9: numpy sums a lone column of 8 or more nodes pairwise
+        cfg = _config(M=7, grid=GridSpec(J=9))
+        h = cfg.grid.h
+        prop = make_propagator(cfg.grid, cfg.tau, cfg.params.alpha)
+        psi0 = resolve_initial(cfg.grid, "sine")
+        values = []
+        for c in (None, 1, 3):
+            per_realization = np.empty((cfg.M, cfg.n_steps + 1))
+            for lo, hi, n, psi, _ in _sweep(cfg, prop, psi0, c):
+                per_realization[lo:hi, n] = discrete_charge(psi, h)
+            values.append(per_realization)
         records = [charge_experiment(cfg, chunk_size=c) for c in (None, 1, 3)]
-        for other in records[1:]:
+        for other_values, other in zip(values[1:], records[1:]):
+            np.testing.assert_array_equal(values[0], other_values)
             assert other.rows == records[0].rows
 
     def test_mc_mean_tracks_charge_law(self):
