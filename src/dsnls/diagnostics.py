@@ -71,8 +71,9 @@ def mean_charge_law(t, charge0: float, params: ModelParams, eta_total: float):
 def charge_limit_discrete(grid: GridSpec, noise: NoiseSpec, params: ModelParams) -> float:
     """Stationary discrete charge (ε² h / α) Σ_j Σ_k η_k e_k²(x_j).
 
-    This is the exact grid sum; it is bounded by 2 ε² Σ η_k / α (each
-    Σ_j e_k² <= 2J <= 2/h) but the bound has factor-2 slack.
+    This is the exact grid sum.  h Σ_j e_k²(x_j) is 1, or 0 when
+    k ≡ 0 mod J+1, so it equals ε²/α · Σ η̃_m over the folded spectrum
+    (`noise.fold_noise`) and is at most ε² Σ η_k / α.
     """
     sigma = eigenfunction_matrix(grid, noise.P)
     total = float((sigma ** 2 * noise.eta_array).sum())

@@ -39,6 +39,7 @@ from .model import (
 from .noise import (
     FORCING_BLOCK_STEPS as _BLOCK_STEPS,
     GENERATOR_NAME,
+    fold_noise,
     forcing_blocks,
     forcing_weights,
 )
@@ -240,7 +241,8 @@ def _chunks(total: int, chunk_size):
 
 def _batch_forcing(config: ExperimentConfig, tau: float, n_steps: int, realizations: range):
     """Per-step (J, m) forcing for a batch of realizations, column i fed from
-    realization realizations[i]'s own stream; None at every step when ε = 0.
+    realization realizations[i]'s own stream of the folded noise; None at
+    every step when ε = 0.
 
     Each stream is projected at fixed per-realization shapes, so every column
     is bit-identical no matter how realizations are grouped into batches.
@@ -249,8 +251,9 @@ def _batch_forcing(config: ExperimentConfig, tau: float, n_steps: int, realizati
     if not params.epsilon > 0.0:
         yield from itertools.repeat(None, n_steps)
         return
-    weights = forcing_weights(config.grid, config.noise, params.epsilon)
-    streams = [forcing_blocks(weights, config.noise, tau, n_steps, r, _BLOCK_STEPS)
+    noise = fold_noise(config.grid, config.noise)
+    weights = forcing_weights(config.grid, noise, params.epsilon)
+    streams = [forcing_blocks(weights, noise, tau, n_steps, r, _BLOCK_STEPS)
                for r in realizations]
     for a in range(0, n_steps, _BLOCK_STEPS):
         block = np.empty((min(_BLOCK_STEPS, n_steps - a), config.grid.J, len(streams)),

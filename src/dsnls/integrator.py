@@ -33,7 +33,14 @@ import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .model import GridSpec, ModelParams, NoiseSpec
-from .noise import FORCING_BLOCK_STEPS, BrownianPath, forcing_weights, project_forcing
+from .noise import (
+    FORCING_BLOCK_STEPS,
+    BrownianPath,
+    fold_noise,
+    forcing_weights,
+    generate_path,
+    project_forcing,
+)
 
 __all__ = [
     "NumericalError",
@@ -329,6 +336,12 @@ def integrate(psi0: np.ndarray, prop: LinearPropagator, params: ModelParams,
               record_stride: int = 1) -> Trajectory:
     """Drive the scheme along one Brownian path, recording every `record_stride` steps.
 
+    The forcing is that of `fold_noise(prop.grid, noise)`, the modes the
+    grid can see.  `path` is a path of that folded spec, or one drawn from
+    `noise` itself; in the latter case, when the fold drops modes, the
+    path's realization is redrawn from the folded spec, so the trajectory is
+    bit for bit column `path.realization` of an ensemble.
+
     The step count defaults to the path length; with `path=None` (noise-free
     run) pass `n_steps` explicitly, or leave both unset for the trivial
     zero-step trajectory [Ψ⁰].  Raises `BlowUpError` on the first non-finite
@@ -351,7 +364,13 @@ def integrate(psi0: np.ndarray, prop: LinearPropagator, params: ModelParams,
 
     forcing = itertools.repeat(None)
     if path is not None and params.epsilon > 0.0:
-        weights = forcing_weights(prop.grid, noise, params.epsilon)
+        folded = fold_noise(prop.grid, noise)
+        if path.P != folded.P:
+            if path.P != noise.P or path.base_seed != noise.seed:
+                raise ValueError(f"path ({path.P} modes, seed {path.base_seed}) "
+                                 f"was not drawn from this noise spec")
+            path = generate_path(folded, path.tau, path.n_steps, path.realization)
+        weights = forcing_weights(prop.grid, folded, params.epsilon)
         # projected block by block, the blocks ensembles use, so that the whole
         # (n_steps, J) forcing is never held at once
         forcing = itertools.chain.from_iterable(

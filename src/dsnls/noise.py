@@ -5,14 +5,22 @@ philox4x64-10), so ensembles reproduce bit-for-bit regardless of worker
 count or scheduling.  The stream layout is frozen:
 
 * key      = splitmix64(base_seed + realization · 0x9E3779B97F4A7C15)
+* modes    are the K = min(J, P) modes of `fold_noise(grid, noise)`, the
+  noise the J-node grid can see, so a step draws 2K normals, not 2P;
 * normals  are drawn in C order over (step, mode, component), component 0
   being the real part and 1 the imaginary part;
-* δβ_k     = √τ · (n₀ + i n₁), so each real component has variance τ and
-  E|δβ_k|² = 2τ.
+* δβ_m     = √τ · (n₀ + i n₁), so each real component has variance τ and
+  E|δβ_m|² = 2τ.
 
 The variance convention Var(δβ¹) = Var(δβ²) = τ (rather than τ/2) makes the
 Itô correction of the squared norm equal 2 ε² Σ η_k dt, which is what the
 exponential charge law of the continuous model requires.
+
+The fold is exact in law.  On the nodes x_j = j/(J+1), sine mode k equals
++e_m, -e_m (m ≤ J) or vanishes (k ≡ 0 mod J+1), so the P-mode forcing
+Σ_k √η_k e_k δβ_k has the law of Σ_m √η̃_m e_m δβ̃_m with η̃_m = Σ_{k→m} η_k.
+When P ≤ J nothing aliases and the fold is the identity: the same spec,
+weights and stream bits.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from .model import NoiseSpec, eigenfunction_matrix
 
 __all__ = [
     "BrownianPath",
+    "fold_noise",
     "stream_key",
     "generate_path",
     "increment_blocks",
@@ -33,7 +42,7 @@ __all__ = [
     "forcing_blocks",
 ]
 
-GENERATOR_NAME = "philox4x64-10/splitmix64-key"
+GENERATOR_NAME = "philox4x64-10/splitmix64-key/folded-modes"
 
 #: Increments are projected to forcing in blocks of this many steps everywhere
 #: (single trajectories and ensembles alike), so the two paths agree bit-for-bit.
@@ -55,6 +64,25 @@ def stream_key(base_seed: int, realization: int) -> int:
     if realization < 0:
         raise ValueError(f"realization index must be >= 0, got {realization}")
     return _splitmix64((base_seed + realization * _GOLDEN) & _MASK64)
+
+
+def fold_noise(grid, noise: NoiseSpec) -> NoiseSpec:
+    """The spec of the same forcing law on grid's J nodes from min(J, P) modes.
+
+    Mode k lands on m(k) = r or 2(J+1) - r, with r = k mod 2(J+1); modes with
+    k ≡ 0 mod J+1 vanish on the grid and are dropped.  η̃_m sums the η_k that
+    land on m in increasing k; the seed is kept.  Folding a folded spec is
+    the identity.
+    """
+    if noise.P <= grid.J:
+        return noise
+    n = grid.J + 1
+    eta = [0.0] * grid.J
+    for k, e in enumerate(noise.eta, start=1):
+        r = k % (2 * n)
+        if r % n:
+            eta[min(r, 2 * n - r) - 1] += e
+    return NoiseSpec(P=grid.J, eta=tuple(eta), seed=noise.seed)
 
 
 def _stream(noise: NoiseSpec, realization: int) -> np.random.Generator:

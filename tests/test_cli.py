@@ -366,6 +366,26 @@ def test_python_m_dsnls_runs_the_cli():
     assert "fig1b" in proc.stdout
 
 
+def test_charge_bytes_independent_of_blas_threads(tmp_path):
+    # the forcing product is a BLAS call; its thread count must not move a bit
+    src = str(Path(dsnls.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads-{threads or 'default'}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "dsnls", "charge", "--preset", "fig1b", "--set", "M=40",
+             "--set", "T=2", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append((out / "charge.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_import_leaves_scipy_special_unloaded():
     # scipy.special would add its import time and memory to every run
     env = dict(os.environ)

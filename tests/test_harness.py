@@ -14,7 +14,7 @@ from dsnls.harness import (
 )
 from dsnls.integrator import BlowUpError, integrate, make_propagator
 from dsnls.model import GridSpec, ModelParams, NoiseSpec, spectrum
-from dsnls.noise import generate_path
+from dsnls.noise import fold_noise, generate_path
 
 
 def _config(**overrides):
@@ -159,15 +159,22 @@ class TestRunEnsemble:
 
     def test_long_run_charge_boundedness(self):
         # uniform moment bound: MC mean charge stays below
-        # exp(-alpha t) * charge0 + C at every record point.  C frozen at 2.5,
-        # estimated once from the stationary plateau (~2.03 for this setup)
-        # plus a 4-sigma Monte Carlo margin.
+        # exp(-alpha t) * charge0 + C at every record point, with C the
+        # stationary plateau plus a 4-sigma Monte Carlo margin.  Ito on the
+        # squared charge c gives Var(c) <= eps^2 max(eta~) E[c] / alpha at
+        # stationarity (the noise's quadratic variation is at most
+        # 4 eps^2 max(eta~) c), so sigma of the mean of M realizations is at
+        # most sqrt(eps^2 max(eta~) plateau / (alpha M)): C = 2.03 + 4 * 0.25.
         cfg = _config(M=64, grid=GridSpec(J=9), T=20.0, record_stride=8,
                       noise=NoiseSpec(P=100, eta=spectrum("power-law(6)", 100), seed=21))
+        params = cfg.params
+        plateau = charge_limit_discrete(cfg.grid, cfg.noise, params)
+        eta_max = max(fold_noise(cfg.grid, cfg.noise).eta)
+        sigma = np.sqrt(params.epsilon ** 2 * eta_max * plateau / (params.alpha * cfg.M))
         rec = charge_experiment(cfg)
         times = np.array([row[1] for row in rec.rows])
         means = np.array([row[2] for row in rec.rows])
-        bound = np.exp(-cfg.params.alpha * times) * means[0] + 2.5
+        bound = np.exp(-params.alpha * times) * means[0] + plateau + 4.0 * sigma
         assert np.all(means <= bound)
 
     @pytest.mark.parametrize("J", [2, 9, 1000])

@@ -336,6 +336,15 @@ class TestIntegrate:
         traj = integrate(psi0, prop, params, noise, path)
         np.testing.assert_array_equal(traj.states[-1], psi)
 
+    def test_rejects_a_path_of_another_spec(self):
+        # J = 2 folds P = 4 modes to 2, so the path's realization is redrawn,
+        # and that needs the path's own seed
+        grid, params, noise, prop = self._base(J=2)
+        other = NoiseSpec(P=noise.P, eta=noise.eta, seed=noise.seed + 1)
+        path = generate_path(other, prop.tau, 5, 0)
+        with pytest.raises(ValueError):
+            integrate(_random_state(2), prop, params, noise, path)
+
     def test_record_stride(self):
         grid, params, noise, prop = self._base(eps=0.0)
         traj = integrate(_random_state(6), prop, params, noise, None,

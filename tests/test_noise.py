@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from dsnls.model import NoiseSpec, make_grid, spectrum
+import dsnls.noise
+from dsnls.diagnostics import charge_limit_discrete
+from dsnls.harness import ExperimentConfig, charge_experiment
+from dsnls.model import GridSpec, ModelParams, NoiseSpec, make_grid, spectrum
 from dsnls.noise import (
+    fold_noise,
     forcing_blocks,
     forcing_weights,
     generate_path,
@@ -150,3 +154,68 @@ class TestForcing:
         finally:
             tracemalloc.stop()
         assert held / len(streams) < 0.1e6
+
+
+class TestFold:
+    # on J nodes sine mode k is +-mode m(k) <= J, or zero when k = 0 mod J+1,
+    # so min(J, P) folded modes carry the whole forcing law
+
+    @pytest.mark.parametrize("J, P", [(1, 100), (2, 100), (3, 100), (9, 100),
+                                      (17, 100), (17, 5)])
+    def test_covariance_matches_unfolded(self, J, P):
+        grid = make_grid(J)
+        spec = NoiseSpec(P=P, eta=spectrum("power-law(6)", P), seed=1)
+        folded = fold_noise(grid, spec)
+        assert folded.P == min(J, P)
+        w = forcing_weights(grid, spec, 0.7)
+        wf = forcing_weights(grid, folded, 0.7)
+        cov, cov_folded = w @ w.T, wf @ wf.T
+        assert np.abs(cov_folded - cov).max() <= 1e-14 * np.abs(cov).max()
+
+    def test_aliases_sum_and_vanishing_modes_drop(self):
+        # J = 2 (nodes 1/3, 2/3): k = 4 lands on -e_2, k = 3 and 6 vanish
+        eta = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+        folded = fold_noise(make_grid(2), NoiseSpec(P=6, eta=eta, seed=5))
+        assert folded == NoiseSpec(P=2, eta=(1.0 + 16.0, 2.0 + 8.0), seed=5)
+
+    @pytest.mark.parametrize("J, P", [(4, 4), (9, 4), (1000, 100)])
+    def test_identity_when_p_at_most_j(self, J, P):
+        grid = make_grid(J)
+        spec = NoiseSpec(P=P, eta=spectrum("power-law(6)", P), seed=8)
+        folded = fold_noise(grid, spec)
+        assert folded == spec
+        assert np.array_equal(forcing_weights(grid, folded, 1.0),
+                              forcing_weights(grid, spec, 1.0))
+        assert np.array_equal(generate_path(folded, 0.01, 300, 2).increments,
+                              generate_path(spec, 0.01, 300, 2).increments)
+
+    def test_folding_twice_is_folding_once(self):
+        grid = make_grid(3)
+        folded = fold_noise(grid, _spec(P=100))
+        assert fold_noise(grid, folded) == folded
+
+    @pytest.mark.parametrize("J, P", [(3, 100), (9, 100), (9, 4)])
+    def test_stream_draws_two_normals_per_folded_mode(self, J, P, monkeypatch):
+        drawn = []
+        draw = dsnls.noise._draw
+
+        def counted(gen, n_steps, modes, root):
+            drawn.append(2 * n_steps * modes)
+            return draw(gen, n_steps, modes, root)
+
+        monkeypatch.setattr(dsnls.noise, "_draw", counted)
+        cfg = ExperimentConfig(
+            kind="charge", params=ModelParams(alpha=0.5, lam=1, epsilon=1.0),
+            grid=GridSpec(J=J), noise=NoiseSpec(P=P, eta=spectrum("power-law(6)", P), seed=4),
+            spectrum_desc="power-law(6)", tau=2.0 ** -6, T=5.0, M=3)
+        charge_experiment(cfg)
+        assert sum(drawn) == 2 * min(J, P) * cfg.n_steps * cfg.M
+
+    @pytest.mark.parametrize("J", [1, 2, 3, 9, 17, 1000])
+    def test_charge_limit_is_folded_spectrum_total(self, J):
+        # h sum_j e_k(x_j)^2 is 1 or 0, so the plateau is eps^2/alpha sum eta~_m
+        grid = make_grid(J)
+        spec = _spec(P=100)
+        params = ModelParams(alpha=0.3, lam=1, epsilon=0.8)
+        expected = params.epsilon ** 2 / params.alpha * fold_noise(grid, spec).eta_total
+        assert charge_limit_discrete(grid, spec, params) == pytest.approx(expected, rel=1e-14)
