@@ -29,9 +29,10 @@ from .harness import (
     ms_error,
     order_fit,
     resolve_initial,
+    stream_noise,
 )
 from .integrator import BlowUpError, integrate, make_propagator
-from .noise import fold_noise, generate_path
+from .noise import generate_path
 from .presets import preset_config, preset_lines
 
 __all__ = ["main", "run"]
@@ -147,8 +148,7 @@ def _cmd_simulate(args) -> int:
     prop = make_propagator(config.grid, config.tau, config.params.alpha)
     path = None
     if config.params.epsilon > 0.0:
-        path = generate_path(fold_noise(config.grid, config.noise), config.tau,
-                             config.n_steps, 0)
+        path = generate_path(stream_noise(config), config.tau, config.n_steps, 0)
     traj = integrate(psi0, prop, config.params, config.noise, path,
                      n_steps=config.n_steps, record_stride=config.record_stride)
     rows = ((step_idx, t, j, z.real, z.imag)

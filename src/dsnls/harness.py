@@ -52,6 +52,7 @@ __all__ = [
     "RunRecord",
     "OrderFit",
     "resolve_initial",
+    "stream_noise",
     "charge_experiment",
     "ergodic_experiment",
     "ms_error",
@@ -169,6 +170,12 @@ def resolve_initial(grid: GridSpec, desc: str) -> np.ndarray:
     return sample_initial(grid, desc)
 
 
+def stream_noise(config: ExperimentConfig) -> NoiseSpec:
+    """The spec every realization's stream draws from: config.noise folded
+    onto the grid's modes (`noise.fold_noise`)."""
+    return fold_noise(config.grid, config.noise)
+
+
 @dataclass(frozen=True)
 class RunRecord:
     """One statistics table plus the manifest of everything that shaped it."""
@@ -241,7 +248,7 @@ def _chunks(total: int, chunk_size):
 
 def _batch_forcing(config: ExperimentConfig, tau: float, n_steps: int, realizations: range):
     """Per-step (J, m) forcing for a batch of realizations, column i fed from
-    realization realizations[i]'s own stream of the folded noise; None at
+    realization realizations[i]'s own stream of `stream_noise(config)`; None at
     every step when ε = 0.
 
     Each stream is projected at fixed per-realization shapes, so every column
@@ -251,7 +258,7 @@ def _batch_forcing(config: ExperimentConfig, tau: float, n_steps: int, realizati
     if not params.epsilon > 0.0:
         yield from itertools.repeat(None, n_steps)
         return
-    noise = fold_noise(config.grid, config.noise)
+    noise = stream_noise(config)
     weights = forcing_weights(config.grid, noise, params.epsilon)
     streams = [forcing_blocks(weights, noise, tau, n_steps, r, _BLOCK_STEPS)
                for r in realizations]

@@ -38,7 +38,6 @@ from .noise import (
     BrownianPath,
     fold_noise,
     forcing_weights,
-    generate_path,
     project_forcing,
 )
 
@@ -337,10 +336,10 @@ def integrate(psi0: np.ndarray, prop: LinearPropagator, params: ModelParams,
     """Drive the scheme along one Brownian path, recording every `record_stride` steps.
 
     The forcing is that of `fold_noise(prop.grid, noise)`, the modes the
-    grid can see.  `path` is a path of that folded spec, or one drawn from
-    `noise` itself; in the latter case, when the fold drops modes, the
-    path's realization is redrawn from the folded spec, so the trajectory is
-    bit for bit column `path.realization` of an ensemble.
+    grid can see, so `path` must carry that folded spec's mode count; a
+    path drawn from the folded spec gives bit for bit column
+    `path.realization` of an ensemble.  Raises `ValueError` on a path of
+    any other mode count.
 
     The step count defaults to the path length; with `path=None` (noise-free
     run) pass `n_steps` explicitly, or leave both unset for the trivial
@@ -366,10 +365,8 @@ def integrate(psi0: np.ndarray, prop: LinearPropagator, params: ModelParams,
     if path is not None and params.epsilon > 0.0:
         folded = fold_noise(prop.grid, noise)
         if path.P != folded.P:
-            if path.P != noise.P or path.base_seed != noise.seed:
-                raise ValueError(f"path ({path.P} modes, seed {path.base_seed}) "
-                                 f"was not drawn from this noise spec")
-            path = generate_path(folded, path.tau, path.n_steps, path.realization)
+            raise ValueError(f"path has {path.P} modes, but the noise folds to "
+                             f"{folded.P} on {prop.grid.J} nodes")
         weights = forcing_weights(prop.grid, folded, params.epsilon)
         # projected block by block, the blocks ensembles use, so that the whole
         # (n_steps, J) forcing is never held at once

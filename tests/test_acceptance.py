@@ -24,7 +24,7 @@ from dsnls.integrator import (
     step,
 )
 from dsnls.model import ModelParams, NoiseSpec, make_grid, sample_initial, spectrum
-from dsnls.noise import forcing_weights, generate_path, project_forcing
+from dsnls.noise import fold_noise, forcing_weights, generate_path, project_forcing
 from dsnls.presets import preset_config
 
 
@@ -210,7 +210,7 @@ def test_c10_truncation_coincidence():
     tau = 2.0 ** -6
     prop = make_propagator(grid, tau, params.alpha)
     psi0 = sample_initial(grid, "sine")
-    path = generate_path(noise, tau, 128, 0)
+    path = generate_path(fold_noise(grid, noise), tau, 128, 0)
 
     plain = integrate(psi0, prop, params, noise, path, record_stride=1)
     radius = float(np.sqrt((np.abs(plain.states) ** 2).sum(axis=1)).max()) * 1.5

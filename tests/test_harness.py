@@ -11,6 +11,7 @@ from dsnls.harness import (
     order_fit,
     _sweep,
     resolve_initial,
+    stream_noise,
 )
 from dsnls.integrator import BlowUpError, integrate, make_propagator
 from dsnls.model import GridSpec, ModelParams, NoiseSpec, spectrum
@@ -109,7 +110,7 @@ class TestRunEnsemble:
         h = cfg.grid.h
         rec = charge_experiment(cfg)
         prop = make_propagator(cfg.grid, cfg.tau, cfg.params.alpha)
-        path = generate_path(cfg.noise, cfg.tau, cfg.n_steps, 0)
+        path = generate_path(stream_noise(cfg), cfg.tau, cfg.n_steps, 0)
         traj = integrate(resolve_initial(cfg.grid, "sine"), prop, cfg.params,
                          cfg.noise, path, record_stride=8)
         direct = discrete_charge(traj.states.T, h)
@@ -184,7 +185,7 @@ class TestRunEnsemble:
         cfg = _config(M=3, grid=GridSpec(J=J), tau=2.0 ** -10, T=2.0 ** -7)
         prop = make_propagator(cfg.grid, cfg.tau, cfg.params.alpha)
         psi0 = resolve_initial(cfg.grid, "sine")
-        path = generate_path(cfg.noise, cfg.tau, cfg.n_steps, 0)
+        path = generate_path(stream_noise(cfg), cfg.tau, cfg.n_steps, 0)
         traj = integrate(psi0, prop, cfg.params, cfg.noise, path)
         batch = [psi[:, 0].copy() for _, _, _, psi, _ in _sweep(cfg, prop, psi0, None)]
         assert len(batch) == cfg.n_steps + 1

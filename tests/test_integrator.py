@@ -13,7 +13,7 @@ from dsnls.integrator import (
     step,
 )
 from dsnls.model import ModelParams, NoiseSpec, make_grid, spectrum
-from dsnls.noise import forcing_weights, generate_path, project_forcing
+from dsnls.noise import fold_noise, forcing_weights, generate_path, project_forcing
 
 
 def _random_state(J, seed=0):
@@ -336,14 +336,14 @@ class TestIntegrate:
         traj = integrate(psi0, prop, params, noise, path)
         np.testing.assert_array_equal(traj.states[-1], psi)
 
-    def test_rejects_a_path_of_another_spec(self):
-        # J = 2 folds P = 4 modes to 2, so the path's realization is redrawn,
-        # and that needs the path's own seed
+    def test_rejects_an_unfolded_path(self):
+        # J = 2 folds P = 4 modes to 2: the forcing is that of the folded spec
         grid, params, noise, prop = self._base(J=2)
-        other = NoiseSpec(P=noise.P, eta=noise.eta, seed=noise.seed + 1)
-        path = generate_path(other, prop.tau, 5, 0)
-        with pytest.raises(ValueError):
+        path = generate_path(noise, prop.tau, 5, 0)
+        with pytest.raises(ValueError, match="folds to 2"):
             integrate(_random_state(2), prop, params, noise, path)
+        folded = generate_path(fold_noise(grid, noise), prop.tau, 5, 0)
+        assert integrate(_random_state(2), prop, params, noise, folded).states.shape == (6, 2)
 
     def test_record_stride(self):
         grid, params, noise, prop = self._base(eps=0.0)
