@@ -22,7 +22,6 @@ from .config import ConfigError, parse_config, serialize_config
 from .diagnostics import run_diagnostic_suite
 from .harness import (
     PROVENANCE,
-    RunRecord,
     base_manifest,
     charge_experiment,
     ergodic_experiment,
@@ -57,6 +56,23 @@ def _write_csv(path: Path, columns, rows) -> None:
         writer.writerow(columns)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def _write_trajectory(path: Path, traj) -> None:
+    """trajectory.csv with `_write_csv`'s bytes, written one snapshot at a time.
+
+    No cell of these rows needs quoting, so csv.writer's line is the cells'
+    str/repr joined by "," and ended by "\r\n"; formatting it directly skips
+    a `_fmt` call per cell and a `writerow` per line.
+    """
+    nodes = [str(j) for j in range(1, traj.states.shape[1] + 1)]
+    with open(path, "w", newline="") as fh:
+        fh.write("step,t,node,re,im\r\n")
+        for step, t, state in zip(traj.step_indices.tolist(), traj.times.tolist(),
+                                  traj.states):
+            head = f"{step},{t!r},"
+            fh.write("".join([f"{head}{node},{re!r},{im!r}\r\n" for node, re, im
+                              in zip(nodes, state.real.tolist(), state.imag.tolist())]))
 
 
 def _write_manifest(path: Path, manifest: dict, config_text: str | None,
@@ -101,10 +117,14 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _emit(record: RunRecord, out: Path, name: str, config, command: str, overrides) -> None:
-    _write_csv(out / f"{name}.csv", record.columns, record.rows)
-    _write_manifest(out / "manifest.txt", record.manifest,
-                    serialize_config(config), command, overrides)
+def _emit(out: Path, manifest: dict, config_text: str | None, command: str, overrides,
+          *tables) -> None:
+    """Write each (writer, file name, *data) table, then the manifest with their write_s."""
+    t0 = time.perf_counter()
+    for write, name, *data in tables:
+        write(out / name, *data)
+    manifest["write_s"] = f"{time.perf_counter() - t0:.3f}"
+    _write_manifest(out / "manifest.txt", manifest, config_text, command, overrides)
 
 
 def _cmd_experiment(args, command: str) -> int:
@@ -116,23 +136,20 @@ def _cmd_experiment(args, command: str) -> int:
     out = _out_dir(args)
     if command == "charge":
         record = charge_experiment(config, chunk_size=args.chunk_size)
-        _emit(record, out, "charge", config, command, args.set or [])
     elif command == "ergodic":
         record = ergodic_experiment(config, chunk_size=args.chunk_size)
-        _emit(record, out, "ergodic", config, command, args.set or [])
-    elif command == "error":
+    elif command in ("error", "order"):
         record = ms_error(config, chunk_size=args.chunk_size)
-        _emit(record, out, "error", config, command, args.set or [])
-    elif command == "order":
-        record = ms_error(config, chunk_size=args.chunk_size)
-        fit = order_fit([(tau, err) for tau, _, err, _ in record.rows])
-        _write_csv(out / "fit.csv", ("slope", "intercept", "rms_residual"),
-                   [(fit.slope, fit.intercept, fit.residual)])
-        record.manifest["fitted_slope"] = repr(fit.slope)
-        _emit(record, out, "order", config, command, args.set or [])
-        print(f"fitted slope: {fit.slope:.4f}")
     else:
         raise ConfigError(f"unhandled experiment subcommand {command!r}")
+    tables = [(_write_csv, f"{command}.csv", record.columns, record.rows)]
+    if command == "order":
+        fit = order_fit([(tau, err) for tau, _, err, _ in record.rows])
+        tables.append((_write_csv, "fit.csv", ("slope", "intercept", "rms_residual"),
+                       [(fit.slope, fit.intercept, fit.residual)]))
+        record.manifest["fitted_slope"] = repr(fit.slope)
+        print(f"fitted slope: {fit.slope:.4f}")
+    _emit(out, record.manifest, serialize_config(config), command, args.set or [], *tables)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -151,15 +168,10 @@ def _cmd_simulate(args) -> int:
         path = generate_path(stream_noise(config), config.tau, config.n_steps, 0)
     traj = integrate(psi0, prop, config.params, config.noise, path,
                      n_steps=config.n_steps, record_stride=config.record_stride)
-    rows = ((step_idx, t, j, z.real, z.imag)
-            for step_idx, t, state in zip(traj.step_indices.tolist(), traj.times.tolist(),
-                                          traj.states)
-            for j, z in enumerate(state.tolist(), start=1))
     manifest = base_manifest(config)
     manifest["wall_time_s"] = f"{time.perf_counter() - t0:.3f}"
-    _write_csv(out / "trajectory.csv", ("step", "t", "node", "re", "im"), rows)
-    _write_manifest(out / "manifest.txt", manifest, serialize_config(config),
-                    "simulate", args.set or [])
+    _emit(out, manifest, serialize_config(config), "simulate", args.set or [],
+          (_write_trajectory, "trajectory.csv", traj))
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -168,11 +180,11 @@ def _cmd_diagnose(args) -> int:
     out = _out_dir(args)
     seed = 0 if args.seed is None else args.seed
     rows = run_diagnostic_suite(seed=seed)
-    _write_csv(out / "diagnostics.csv",
-               ("check", "step", "node", "residual", "tolerance", "passed"),
-               [(r.check, r.step, r.node, r.residual, r.tolerance, r.passed) for r in rows])
     manifest = {**PROVENANCE, "kind": "diagnose", "seed": str(seed)}
-    _write_manifest(out / "manifest.txt", manifest, None, "diagnose", args.set or [])
+    _emit(out, manifest, None, "diagnose", args.set or [],
+          (_write_csv, "diagnostics.csv",
+           ("check", "step", "node", "residual", "tolerance", "passed"),
+           [(r.check, r.step, r.node, r.residual, r.tolerance, r.passed) for r in rows]))
     failures = [r for r in rows if not r.passed]
     by_check = {}
     for r in rows:

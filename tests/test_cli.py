@@ -1,3 +1,4 @@
+import csv
 import os
 import re
 import subprocess
@@ -13,9 +14,11 @@ from dsnls.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
     EXIT_OK,
+    _write_trajectory,
     run,
 )
 from dsnls.config import ConfigError, parse_config, serialize_config
+from dsnls.integrator import Trajectory
 from dsnls.presets import PRESETS, preset_config
 
 FIG1B_TEXT = """\
@@ -332,6 +335,65 @@ class TestChunkInvariance:
             out = tmp_path / f"chunk{chunk}"
             assert run([*argv, "--chunk-size", str(chunk), "--out", str(out)]) == EXIT_OK
             assert {f.name: f.read_bytes() for f in out.glob("*.csv")} == expected, chunk
+
+
+@pytest.mark.parametrize("command", [*sorted(TestChunkInvariance.CASES), "simulate"])
+def test_manifest_records_write_seconds(command, tmp_path):
+    if command == "simulate":
+        argv = ["simulate", "--preset", "fig1b", "--set", "kind=simulate", "--set", "T=2^-5"]
+    else:
+        argv = [command, *TestChunkInvariance.CASES[command], "--set", "M=2"]
+    out = tmp_path / command
+    assert run([*argv, "--out", str(out)]) == EXIT_OK
+    manifest = (out / "manifest.txt").read_text()
+    assert re.search(r"^write_s = \d+\.\d{3}$", manifest, re.MULTILINE), manifest
+
+
+class TestTrajectoryWriter:
+    @staticmethod
+    def _reference(path, traj):
+        # the rule trajectory.csv was first written by: csv.writer rows of
+        # str(int) and repr(float(.)) cells
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(("step", "t", "node", "re", "im"))
+            for step, t, state in zip(traj.step_indices, traj.times, traj.states):
+                for j, z in enumerate(state, start=1):
+                    writer.writerow([str(int(step)), repr(float(t)), str(j),
+                                     repr(float(z.real)), repr(float(z.imag))])
+
+    def test_bytes_equal_csv_writer_on_edge_cells(self, tmp_path):
+        cells = [-0.0, 5e-324, 1e-05, 1e+16, 0.1 + 0.2, -1.5, 0.0, 123456.789]
+        states = numpy.array([complex(re, im) for re, im in zip(cells, cells[::-1])]
+                          + [complex(-0.0, -0.0)]).reshape(3, 3)
+        assert str(states[0, 0].real) == "-0.0"
+        traj = Trajectory(step_indices=numpy.array([0, 7, 1_048_577]),
+                          times=numpy.array([0.0, 0.1 + 0.2, 1e+16]), states=states)
+        _write_trajectory(tmp_path / "new.csv", traj)
+        self._reference(tmp_path / "ref.csv", traj)
+        data = (tmp_path / "new.csv").read_bytes()
+        assert data == (tmp_path / "ref.csv").read_bytes()
+        for cell in (b",-0.0,", b",5e-324", b",1e-05,", b",1e+16", b",0.30000000000000004,",
+                     b"1048577,1e+16,3,", b"\r\n"):
+            assert cell in data, cell
+
+    def test_j1000_simulate_matches_csv_writer(self, tmp_path, monkeypatch):
+        import dsnls.cli as cli
+
+        trajs = []
+
+        def captured(*args, _fn=cli.integrate, **kwargs):
+            trajs.append(_fn(*args, **kwargs))
+            return trajs[-1]
+        monkeypatch.setattr(cli, "integrate", captured)
+        out = tmp_path / "sim"
+        assert run(["simulate", "--preset", "fig1b", "--set", "kind=simulate",
+                    "--set", "J=1000", "--set", "tau=2^-10", "--set", "T=2^-7",
+                    "--set", "record_stride=1", "--out", str(out)]) == EXIT_OK
+        (traj,) = trajs
+        assert traj.states.shape == (9, 1000)
+        self._reference(tmp_path / "ref.csv", traj)
+        assert (out / "trajectory.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_commands_call_their_experiment_through_cli_globals(tmp_path, monkeypatch):
