@@ -365,7 +365,7 @@ class TestTrajectoryWriter:
     def test_bytes_equal_csv_writer_on_edge_cells(self, tmp_path):
         cells = [-0.0, 5e-324, 1e-05, 1e+16, 0.1 + 0.2, -1.5, 0.0, 123456.789]
         states = numpy.array([complex(re, im) for re, im in zip(cells, cells[::-1])]
-                          + [complex(-0.0, -0.0)]).reshape(3, 3)
+                             + [complex(-0.0, -0.0)]).reshape(3, 3)
         assert str(states[0, 0].real) == "-0.0"
         traj = Trajectory(step_indices=numpy.array([0, 7, 1_048_577]),
                           times=numpy.array([0.0, 0.1 + 0.2, 1e+16]), states=states)
