@@ -219,7 +219,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="dsnls-out", metavar="DIR", help="output directory")
         p.add_argument("--seed", type=int, default=None, metavar="N", help="base seed override")
         p.add_argument("--chunk-size", type=int, default=None, metavar="M",
-                       help="realizations per batch (results are independent of this)")
+                       help="realizations per chunk (default: at most 256, split "
+                            "evenly); chunks run on the usable CPUs (`taskset -c 0` "
+                            "gives one), and neither changes a byte of the results")
 
     for name in ("simulate", "charge", "ergodic", "error", "order"):
         add_common(sub.add_parser(name, help=f"run a '{name}' experiment"))

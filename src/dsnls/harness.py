@@ -4,14 +4,19 @@ Experiments are described by an immutable `ExperimentConfig` and produce a
 `RunRecord`: one statistics table plus a manifest echoing every knob that
 affects the numbers.  Re-running a config reproduces the table bit-for-bit.
 
-One driver, `_sweep`, runs every ensemble.  It batches the realizations in
-chunks, starts each column from Ψ⁰, feeds column i from realization i's own
-counter-based noise stream and steps the batch with `march`, handing each
-state Ψⁿ, with the forcing gⁿ that produced it, to the experiment.  Columns
-never mix and node sums run in node order (`column_norm2`), so the aggregate
-is a pure function of (config, base seed): neither the chunk size used to
-batch realizations, 1 included, nor any scheduling order changes a single
-bit.  Reductions over realizations run in index order.
+Every ensemble splits its realizations into chunks, at most `MAX_CHUNK`
+(256) a chunk by default, and `_map_chunks` runs each experiment's per-chunk
+function (config, lo, hi) on them: in a fork pool on the usable CPUs when
+there is more than one chunk and more than one CPU (`taskset -c 0` gives
+one), in this process otherwise.  The per-chunk functions drive one chunk
+each through `_sweep`, which starts every column from Ψ⁰, feeds column i
+from realization i's own counter-based noise stream and steps the batch with
+`march`, handing each state Ψⁿ, with the forcing gⁿ that produced it, to
+the experiment, and each returns its rows of the per-realization table.
+Columns never mix and node sums run in node order (`column_norm2`), and the
+rows are concatenated in chunk order and reduced in realization-index
+order, so the aggregate is a pure function of (config, base seed): neither
+the chunk size, 1 included, nor the CPU count changes a single bit.
 
 Mean-square error studies couple every coarse run to the fine reference by
 feeding it the block-sums of the gⁿ the reference consumed.
@@ -20,9 +25,10 @@ feeding it the block-sums of the gⁿ the reference consumed.
 from __future__ import annotations
 
 import itertools
+import os
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy
@@ -237,13 +243,74 @@ def jackknife_se(samples: np.ndarray, transform=None):
     return out if out.ndim else float(out)
 
 
+#: Default cap on the realizations one chunk batches (see `_chunks`).
+MAX_CHUNK = 256
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on; the one place the harness reads it."""
+    return len(os.sched_getaffinity(0))
+
+
 def _chunks(total: int, chunk_size):
-    size = total if chunk_size is None else max(1, int(chunk_size))
-    lo = 0
-    while lo < total:
-        hi = min(total, lo + size)
-        yield lo, hi
-        lo = hi
+    """Consecutive (lo, hi) ranges covering realizations 0..total-1.
+
+    An explicit `chunk_size` is the width of every range but the last; by
+    default n = ceil(total / MAX_CHUNK) ranges of ceil(total / n) each, so
+    total <= MAX_CHUNK is one range.
+    """
+    if chunk_size is None:
+        n = -(-total // MAX_CHUNK)
+        size = -(-total // n)
+    else:
+        size = max(1, int(chunk_size))
+    for lo in range(0, total, size):
+        yield lo, min(total, lo + size)
+
+
+def _run_chunk(task):
+    fn, config, lo, hi = task
+    return fn(config, lo, hi)
+
+
+def _map_chunks(fn, configs, chunk_size):
+    """[fn(config, lo, hi) for each config, for each of its chunks], and the
+    manifest lines saying how they ran.
+
+    With more than one chunk and more than one usable CPU the chunks run in
+    a fork pool of min(CPUs, chunks) workers; otherwise they run here, one
+    after another.  Results come back in chunk order (`Executor.map`), so a
+    `BlowUpError` names the step and realization a serial loop over the same
+    chunks would name.  A worker that dies raises `BrokenProcessPool`
+    where a `multiprocessing.Pool` would wait for it forever.
+    """
+    tasks = [(fn, config, lo, hi) for config in configs
+             for lo, hi in _chunks(config.M, chunk_size)]
+    cpus = usable_cpus()
+    workers = min(cpus, len(tasks))
+    if workers > 1:
+        # imported here, so that a single chunk never loads multiprocessing
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork: a worker starts with numpy and scipy imported, where spawn
+        # would pay the 0.5 s import again in each
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(_run_chunk, tasks))
+    else:
+        results = [_run_chunk(task) for task in tasks]
+    return results, {"cpus": str(cpus), "chunks": str(len(tasks)), "workers": str(workers)}
+
+
+def _ensemble_manifest(config: ExperimentConfig, t0: float, run_info: dict,
+                       realizations: int) -> dict:
+    """base_manifest plus how the chunks ran, the wall time since t0 and the
+    throughput of `realizations` runs of config.n_steps steps each."""
+    wall = time.perf_counter() - t0
+    manifest = {**base_manifest(config), **run_info}
+    manifest["wall_time_s"] = f"{wall:.3f}"
+    manifest["realization_steps_per_s"] = f"{realizations * config.n_steps / wall:.0f}"
+    return manifest
 
 
 def _batch_forcing(config: ExperimentConfig, tau: float, n_steps: int, realizations: range):
@@ -277,39 +344,46 @@ def _record_steps(n_steps: int, stride: int, include_zero: bool = True) -> list:
     return ([0] if include_zero else []) + steps
 
 
-def _sweep(config: ExperimentConfig, prop, psi0: np.ndarray, chunk_size):
-    """Run every realization from `psi0` for config.n_steps steps of prop.tau.
+def _sweep(config: ExperimentConfig, prop, psi0: np.ndarray, lo: int, hi: int):
+    """Run realizations lo..hi-1 from `psi0` for config.n_steps steps of prop.tau.
 
-    Yields (lo, hi, n, Ψⁿ, gⁿ) chunk by chunk and step by step: Ψⁿ holds
-    realizations lo..hi-1 as columns and gⁿ is the (J, hi - lo) forcing the
-    step into Ψⁿ took, None at n = 0 and when ε = 0.  `march` raises
-    `BlowUpError` naming the realization.
+    Yields (n, Ψⁿ, gⁿ) step by step: Ψⁿ holds the realizations as columns
+    and gⁿ is the (J, hi - lo) forcing the step into Ψⁿ took, None at n = 0
+    and when ε = 0.  `march` raises `BlowUpError` naming the realization.
     """
-    for lo, hi in _chunks(config.M, chunk_size):
-        forcing, taken = itertools.tee(
-            _batch_forcing(config, prop.tau, config.n_steps, range(lo, hi)))
-        psi = np.tile(psi0[:, None], (1, hi - lo))
-        for n, psi in march(psi, prop, config.params, forcing, config.n_steps,
-                            first_realization=lo):
-            yield lo, hi, n, psi, None if n == 0 else next(taken)
+    forcing, taken = itertools.tee(
+        _batch_forcing(config, prop.tau, config.n_steps, range(lo, hi)))
+    psi = np.tile(psi0[:, None], (1, hi - lo))
+    for n, psi in march(psi, prop, config.params, forcing, config.n_steps,
+                        first_realization=lo):
+        yield n, psi, None if n == 0 else next(taken)
+
+
+def _charge_chunk(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, record steps): the discrete charge of realizations lo..hi-1."""
+    psi0 = resolve_initial(config.grid, config.initial)
+    prop = make_propagator(config.grid, config.tau, config.params.alpha)
+    rec_steps = _record_steps(config.n_steps, config.record_stride)
+    rec_index = {s: i for i, s in enumerate(rec_steps)}
+    values = np.empty((hi - lo, len(rec_steps)))
+    for n, psi, _ in _sweep(config, prop, psi0, lo, hi):
+        i = rec_index.get(n)
+        if i is not None:
+            # a state too large to square observes as inf; march reports the blow-up
+            with np.errstate(over="ignore"):
+                values[:, i] = discrete_charge(psi, config.grid.h)
+    return values
 
 
 def charge_experiment(config: ExperimentConfig, chunk_size=None) -> RunRecord:
     """Evolution of the Monte Carlo mean discrete charge, with the analytic
     exponential-relaxation overlay toward the stationary plateau."""
     t0 = time.perf_counter()
+    chunks, run_info = _map_chunks(_charge_chunk, [config], chunk_size)
+    values = np.concatenate(chunks)
     h = config.grid.h
     psi0 = resolve_initial(config.grid, config.initial)
-    prop = make_propagator(config.grid, config.tau, config.params.alpha)
     rec_steps = _record_steps(config.n_steps, config.record_stride)
-    rec_index = {s: i for i, s in enumerate(rec_steps)}
-    values = np.empty((config.M, len(rec_steps)))
-    for lo, hi, n, psi, _ in _sweep(config, prop, psi0, chunk_size):
-        i = rec_index.get(n)
-        if i is not None:
-            # a state too large to square observes as inf; march reports the blow-up
-            with np.errstate(over="ignore"):
-                values[lo:hi, i] = discrete_charge(psi, h)
     limit = charge_limit_discrete(config.grid, config.noise, config.params)
     charge0 = float(discrete_charge(psi0, h))
     times = np.asarray(rec_steps) * config.tau
@@ -321,55 +395,105 @@ def charge_experiment(config: ExperimentConfig, chunk_size=None) -> RunRecord:
         for s, t, m, e, a in zip(rec_steps, times, values.mean(axis=0),
                                  jackknife_se(values), analytic)
     )
-    manifest = base_manifest(config)
-    manifest["wall_time_s"] = f"{time.perf_counter() - t0:.3f}"
     return RunRecord(
         kind="charge",
         columns=("step", "t", "charge_mean", "charge_se", "charge_analytic"),
         rows=rows,
-        manifest=manifest,
+        manifest=_ensemble_manifest(config, t0, run_info, config.M),
         extras={"charge_limit_discrete": limit, "charge0": charge0},
     )
+
+
+def _ergodic_chunk(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, record steps, observables): the running averages of
+    realizations lo..hi-1 started from config.initial."""
+    psi0 = resolve_initial(config.grid, config.initial)
+    prop = make_propagator(config.grid, config.tau, config.params.alpha)
+    obs_fns = [OBSERVABLES[name] for name in config.observables]
+    rec_steps = _record_steps(config.n_steps, config.record_stride, include_zero=False)
+    rec_index = {s: i for i, s in enumerate(rec_steps)}
+    values = np.empty((hi - lo, len(rec_steps), len(obs_fns)))
+    sums = np.zeros((len(obs_fns), hi - lo))
+    for n, psi, _ in _sweep(config, prop, psi0, lo, hi):
+        if n == 0:
+            continue
+        i = rec_index.get(n)
+        if i is not None:
+            values[:, i, :] = (sums / n).T
+        norm2 = column_norm2(psi)
+        for k, fn in enumerate(obs_fns):
+            sums[k] += fn(norm2)
+    return values
 
 
 def ergodic_experiment(config: ExperimentConfig, chunk_size=None) -> RunRecord:
     """Running temporal averages (1/N) Σ_{n=1}^{N-1} f(Ψⁿ) of bounded
     observables, one curve per initial profile, averaged over realizations."""
     t0 = time.perf_counter()
-    prop = make_propagator(config.grid, config.tau, config.params.alpha)
-    obs_fns = [OBSERVABLES[name] for name in config.observables]
-    n_obs = len(obs_fns)
+    per_initial = [replace(config, initial=initial) for initial in config.initials]
+    chunks, run_info = _map_chunks(_ergodic_chunk, per_initial, chunk_size)
+    per_run = len(chunks) // len(per_initial)
     rec_steps = _record_steps(config.n_steps, config.record_stride, include_zero=False)
-    rec_index = {s: i for i, s in enumerate(rec_steps)}
 
     rows = []
-    for initial in config.initials:
-        psi0 = resolve_initial(config.grid, initial)
-        values = np.empty((config.M, len(rec_steps), n_obs))
-        for lo, hi, n, psi, _ in _sweep(config, prop, psi0, chunk_size):
-            if n == 0:
-                sums = np.zeros((n_obs, hi - lo))
-                continue
-            i = rec_index.get(n)
-            if i is not None:
-                values[lo:hi, i, :] = (sums / n).T
-            norm2 = column_norm2(psi)
-            for k, fn in enumerate(obs_fns):
-                sums[k] += fn(norm2)
+    for j, initial in enumerate(config.initials):
+        values = np.concatenate(chunks[j * per_run:(j + 1) * per_run])
         mean = values.mean(axis=0)
         se = jackknife_se(values)
         for i, s in enumerate(rec_steps):
             for k, name in enumerate(config.observables):
                 rows.append((float(s * config.tau), initial, name,
                              float(mean[i, k]), float(se[i, k])))
-    manifest = base_manifest(config)
-    manifest["wall_time_s"] = f"{time.perf_counter() - t0:.3f}"
     return RunRecord(
         kind="ergodic",
         columns=("t", "initial", "observable", "mean", "se"),
         rows=tuple(rows),
-        manifest=manifest,
+        manifest=_ensemble_manifest(config, t0, run_info, config.M * len(per_initial)),
     )
+
+
+def _horizon_steps(config: ExperimentConfig) -> dict:
+    """{fine step: horizon} of an error/order config, in step order."""
+    horizons = config.horizons if config.kind == "error" else (config.T,)
+    steps = {round(t_h / config.tau_ref): t_h for t_h in horizons}
+    return {s: steps[s] for s in sorted(steps)}
+
+
+def _error_chunk(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, ladder, horizons): h‖Ψ_ref - Ψ_τ‖² of realizations lo..hi-1,
+    both Strang-processed (see `ms_error`)."""
+    grid = config.grid
+    params = config.params
+    ratios = [round(tc / config.tau_ref) for tc in config.tau_ladder]
+    h_idx = {s: i for i, s in enumerate(_horizon_steps(config))}
+
+    prop_fine = make_propagator(grid, config.tau_ref, params.alpha)
+    props = [make_propagator(grid, tc, params.alpha) for tc in config.tau_ladder]
+    psi0 = resolve_initial(grid, config.initial)
+
+    sq = np.empty((hi - lo, len(ratios), len(h_idx)))
+    lam = params.lam
+    with np.errstate(over="ignore", invalid="ignore"):  # march reports a blow-up
+        fine0 = nonlinear_step(psi0, -lam, 0.5 * config.tau_ref)
+        coarse0 = [nonlinear_step(psi0, -lam, 0.5 * tc) for tc in config.tau_ladder]
+
+    for n, fine, g in _sweep(config, prop_fine, fine0, lo, hi):
+        if n == 0:
+            coarse = [np.tile(c0[:, None], (1, hi - lo)) for c0 in coarse0]
+            acc = [np.zeros_like(c) for c in coarse]
+            continue
+        for c, ratio in enumerate(ratios):
+            if g is not None:
+                acc[c] += g
+            if n % ratio == 0:
+                coarse[c] = step(coarse[c], props[c], params, None if g is None else acc[c])
+                acc[c][:] = 0.0
+        if n in h_idx:
+            fine_out = nonlinear_step(fine, lam, 0.5 * config.tau_ref)
+            for c, tc in enumerate(config.tau_ladder):
+                diff = fine_out - nonlinear_step(coarse[c], lam, 0.5 * tc)
+                sq[:, c, h_idx[n]] = grid.h * column_norm2(diff)
+    return sq
 
 
 def ms_error(config: ExperimentConfig, chunk_size=None) -> RunRecord:
@@ -389,41 +513,9 @@ def ms_error(config: ExperimentConfig, chunk_size=None) -> RunRecord:
     taken are the unchanged Lie steps; the exit rotation acts on a copy.
     """
     t0 = time.perf_counter()
-    grid = config.grid
-    params = config.params
-    horizons = config.horizons if config.kind == "error" else (config.T,)
-    ratios = [round(tc / config.tau_ref) for tc in config.tau_ladder]
-    horizon_steps = {round(t_h / config.tau_ref): t_h for t_h in horizons}
-
-    prop_fine = make_propagator(grid, config.tau_ref, params.alpha)
-    props = [make_propagator(grid, tc, params.alpha) for tc in config.tau_ladder]
-    psi0 = resolve_initial(grid, config.initial)
-
-    sq = np.empty((config.M, len(ratios), len(horizons)))
-    h_idx = {s: i for i, s in enumerate(sorted(horizon_steps))}
-    horizon_order = [horizon_steps[s] for s in sorted(horizon_steps)]
-
-    lam = params.lam
-    with np.errstate(over="ignore", invalid="ignore"):  # march reports a blow-up
-        fine0 = nonlinear_step(psi0, -lam, 0.5 * config.tau_ref)
-        coarse0 = [nonlinear_step(psi0, -lam, 0.5 * tc) for tc in config.tau_ladder]
-
-    for lo, hi, n, fine, g in _sweep(config, prop_fine, fine0, chunk_size):
-        if n == 0:
-            coarse = [np.tile(c0[:, None], (1, hi - lo)) for c0 in coarse0]
-            acc = [np.zeros_like(c) for c in coarse]
-            continue
-        for c, ratio in enumerate(ratios):
-            if g is not None:
-                acc[c] += g
-            if n % ratio == 0:
-                coarse[c] = step(coarse[c], props[c], params, None if g is None else acc[c])
-                acc[c][:] = 0.0
-        if n in horizon_steps:
-            fine_out = nonlinear_step(fine, lam, 0.5 * config.tau_ref)
-            for c, tc in enumerate(config.tau_ladder):
-                diff = fine_out - nonlinear_step(coarse[c], lam, 0.5 * tc)
-                sq[lo:hi, c, h_idx[n]] = grid.h * column_norm2(diff)
+    chunks, run_info = _map_chunks(_error_chunk, [config], chunk_size)
+    sq = np.concatenate(chunks)
+    horizon_order = list(_horizon_steps(config).values())
 
     rows = []
     err_table = {}
@@ -434,13 +526,11 @@ def ms_error(config: ExperimentConfig, chunk_size=None) -> RunRecord:
             se = float(jackknife_se(sq[:, c, i], transform=np.sqrt))
             rows.append((float(tc), float(t_h), err, se))
             err_table[(tc, t_h)] = err
-    manifest = base_manifest(config)
-    manifest["wall_time_s"] = f"{time.perf_counter() - t0:.3f}"
     return RunRecord(
         kind=config.kind,
         columns=("tau", "T", "error", "error_se"),
         rows=tuple(rows),
-        manifest=manifest,
+        manifest=_ensemble_manifest(config, t0, run_info, config.M),
         extras={"errors": err_table},
     )
 

@@ -71,6 +71,10 @@ class BlowUpError(RuntimeError):
         self.realization = realization
         super().__init__(f"non-finite state after step {step_index} (realization {realization})")
 
+    def __reduce__(self):
+        # pickled by a pool worker: rebuild from the step and realization
+        return type(self), (self.step_index, self.realization)
+
 
 def tridiag_factor(J: int, diag, off):
     """Forward-elimination factors (mult, piv) for the constant tridiagonal

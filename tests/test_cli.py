@@ -336,6 +336,41 @@ class TestChunkInvariance:
             assert run([*argv, "--chunk-size", str(chunk), "--out", str(out)]) == EXIT_OK
             assert {f.name: f.read_bytes() for f in out.glob("*.csv")} == expected, chunk
 
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_csv_bytes_independent_of_cpu_count(self, command, tmp_path, pin_cpus):
+        m = 5
+        runs = 5 if command == "ergodic" else 1     # one run of M per initial profile
+        argv = [command, *self.CASES[command], "--set", f"M={m}"]
+        expected = None
+        for cpus in (1, 2, 3):
+            pin_cpus(cpus)
+            for chunk in (None, 1, 3):
+                out = tmp_path / f"cpus{cpus}-chunk{chunk}"
+                flags = [] if chunk is None else ["--chunk-size", str(chunk)]
+                assert run([*argv, *flags, "--out", str(out)]) == EXIT_OK
+                got = {f.name: f.read_bytes() for f in out.glob("*.csv")}
+                expected = expected or got
+                assert got == expected, (cpus, chunk)
+                chunks = runs * -(-m // (chunk or m))
+                workers = min(cpus, chunks)
+                manifest = (out / "manifest.txt").read_text()
+                for line in (f"cpus = {cpus}", f"chunks = {chunks}", f"workers = {workers}"):
+                    assert f"\n{line}\n" in manifest, (cpus, chunk, line)
+
+    def test_two_default_chunks_match_one(self, tmp_path, pin_cpus):
+        # M = 300 splits into two default chunks of 150 and runs on two workers
+        pin_cpus(2)
+        argv = ["charge", "--preset", "fig1b", "--set", "M=300", "--set", "T=2^-3",
+                "--set", "record_stride=2"]
+        outputs = []
+        for flags, chunks in (([], 2), (["--chunk-size", "300"], 1)):
+            out = tmp_path / f"chunks{chunks}"
+            assert run([*argv, *flags, "--out", str(out)]) == EXIT_OK
+            manifest = (out / "manifest.txt").read_text()
+            assert f"\nchunks = {chunks}\nworkers = {chunks}\n" in manifest
+            outputs.append((out / "charge.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 @pytest.mark.parametrize("command", [*sorted(TestChunkInvariance.CASES), "simulate"])
 def test_manifest_records_write_seconds(command, tmp_path):
@@ -345,8 +380,21 @@ def test_manifest_records_write_seconds(command, tmp_path):
         argv = [command, *TestChunkInvariance.CASES[command], "--set", "M=2"]
     out = tmp_path / command
     assert run([*argv, "--out", str(out)]) == EXIT_OK
-    manifest = (out / "manifest.txt").read_text()
-    assert re.search(r"^write_s = \d+\.\d{3}$", manifest, re.MULTILINE), manifest
+    text = (out / "manifest.txt").read_text()
+    assert re.search(r"^write_s = \d+\.\d{3}$", text, re.MULTILINE), text
+    if command == "simulate":
+        return
+    # every ensemble also records how its chunks ran and its throughput:
+    # realization-steps over the wall time, which the manifest rounds to 1 ms
+    manifest = dict(line.split(" = ", 1) for line in text.split("\n\n")[0].splitlines())
+    for key in ("cpus", "chunks", "workers", "realization_steps_per_s"):
+        assert re.fullmatch(r"[1-9]\d*", manifest[key]), (key, manifest.get(key))
+    config = parse_config(text.split("# config echo\n")[1].replace("| ", ""))
+    realization_steps = 2 * len(config.initials or [None]) * config.n_steps
+    wall = float(manifest["wall_time_s"])
+    rate = int(manifest["realization_steps_per_s"])
+    assert realization_steps / (wall + 0.0005) - 1 <= rate
+    assert rate <= realization_steps / max(wall - 0.0005, 1e-9) + 1
 
 
 class TestTrajectoryWriter:
@@ -448,16 +496,50 @@ def test_charge_bytes_independent_of_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_cli_import_leaves_scipy_special_unloaded():
-    # scipy.special would add its import time and memory to every run
+def _python_c(code: str) -> str:
     env = dict(os.environ)
     src = str(Path(dsnls.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, dsnls.cli; print('scipy.special' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # scipy.special would add its import time and memory to every run
+    assert _python_c("import sys, dsnls.cli; print('scipy.special' in sys.modules)") == "False"
+
+
+def test_single_chunk_runs_leave_multiprocessing_unloaded(tmp_path):
+    # only a run of more than one chunk pays for the pool's import
+    out = tmp_path / "one-chunk"
+    assert _python_c(
+        "import sys, dsnls.cli\n"
+        "print('multiprocessing' in sys.modules)\n"
+        "dsnls.cli.run(['charge', '--preset', 'fig1b', '--set', 'M=2', '--set', 'T=2^-5', "
+        f"'--out', {str(out)!r}])\n"
+        "print('multiprocessing' in sys.modules)") == "False\nwrote " + str(out) + "\nFalse"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_blowup_in_a_worker_names_the_serial_step(tmp_path, capsys, pin_cpus):
+    # here realization 0 blows up at step 1452 and realization 1 at step 567,
+    # so the worker on chunk 1 fails long before the one on chunk 0; results
+    # gathered in chunk order still name what the serial loop names
+    import multiprocessing
+
+    cfg = tmp_path / "boom.cfg"
+    cfg.write_text(TINY_CHARGE)
+    argv = ["charge", "--config", str(cfg), "--set", "epsilon=3e153", "--set", "M=4",
+            "--set", "T=60", "--seed", "8", "--chunk-size", "1"]
+    for cpus in (1, 2):
+        pin_cpus(cpus)
+        capsys.readouterr()
+        assert run([*argv, "--out", str(tmp_path / f"cpus{cpus}")]) == EXIT_BLOWUP
+        assert capsys.readouterr().err == (
+            "numerical blow-up: non-finite state after step 1452 (realization 0)\n")
+        assert multiprocessing.active_children() == []
 
 
 class TestErgodicCli:

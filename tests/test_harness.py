@@ -1,3 +1,5 @@
+import os
+from concurrent.futures.process import BrokenProcessPool
 from statistics import NormalDist
 
 import numpy as np
@@ -11,6 +13,8 @@ from dsnls.harness import (
     jackknife_se,
     ms_error,
     order_fit,
+    _chunks,
+    _map_chunks,
     _sweep,
     resolve_initial,
     stream_noise,
@@ -18,6 +22,10 @@ from dsnls.harness import (
 from dsnls.integrator import BlowUpError, integrate, make_propagator
 from dsnls.model import GridSpec, ModelParams, NoiseSpec, spectrum
 from dsnls.noise import fold_noise, generate_path
+
+
+def _exit_in_worker(config, lo, hi):
+    os._exit(1)
 
 
 def _config(**overrides):
@@ -128,8 +136,9 @@ class TestRunEnsemble:
         values = []
         for c in (None, 1, 3):
             per_realization = np.empty((cfg.M, cfg.n_steps + 1))
-            for lo, hi, n, psi, _ in _sweep(cfg, prop, psi0, c):
-                per_realization[lo:hi, n] = discrete_charge(psi, h)
+            for lo, hi in _chunks(cfg.M, c):
+                for n, psi, _ in _sweep(cfg, prop, psi0, lo, hi):
+                    per_realization[lo:hi, n] = discrete_charge(psi, h)
             values.append(per_realization)
         records = [charge_experiment(cfg, chunk_size=c) for c in (None, 1, 3)]
         for other_values, other in zip(values[1:], records[1:]):
@@ -186,6 +195,13 @@ class TestRunEnsemble:
         bound = np.exp(-params.alpha * times) * means[0] + plateau + k * sigma
         assert np.all(means <= bound)
 
+    def test_dead_worker_fails_the_run(self, pin_cpus):
+        # a worker killed from outside (say, out of memory) must end the run,
+        # not leave it waiting for the lost chunk
+        pin_cpus(2)
+        with pytest.raises(BrokenProcessPool):
+            _map_chunks(_exit_in_worker, [_config(M=2)], 1)
+
     @pytest.mark.parametrize("J", [2, 9, 1000])
     def test_integrate_equals_column_zero_of_a_batch(self, J):
         # a lone trajectory and realization 0 of a three-column batch take
@@ -195,7 +211,7 @@ class TestRunEnsemble:
         psi0 = resolve_initial(cfg.grid, "sine")
         path = generate_path(stream_noise(cfg), cfg.tau, cfg.n_steps, 0)
         traj = integrate(psi0, prop, cfg.params, cfg.noise, path)
-        batch = [psi[:, 0].copy() for _, _, _, psi, _ in _sweep(cfg, prop, psi0, None)]
+        batch = [psi[:, 0].copy() for _, psi, _ in _sweep(cfg, prop, psi0, 0, cfg.M)]
         assert len(batch) == cfg.n_steps + 1
         np.testing.assert_array_equal(traj.states, np.array(batch))
 
