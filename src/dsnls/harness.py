@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import platform
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -68,14 +69,29 @@ __all__ = [
 
 CSV_SCHEMA_VERSION = "1"
 
+#: The BLAS thread variables the manifest records as found.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _library(config: dict, kind: str) -> str:
+    """'name version' of a numpy or scipy build's BLAS or LAPACK."""
+    lib = config["Build Dependencies"][kind]
+    return f"{lib['name']} {lib['version']}"
+
+
 #: The lines every manifest opens with.  CSV bytes are reproducible per
-#: toolchain, since the linear solve is LAPACK's, so numpy and scipy are named.
+#: toolchain: the forcing product runs on numpy's BLAS and the linear solve on
+#: scipy's LAPACK, which may be different builds, so both are named.
 PROVENANCE = {
     "schema": CSV_SCHEMA_VERSION,
     "version": __version__,
     "generator": GENERATOR_NAME,
+    "python": platform.python_version(),
     "numpy": np.__version__,
+    "numpy_blas": _library(np.__config__.CONFIG, "blas"),
     "scipy": scipy.__version__,
+    "scipy_lapack": _library(scipy.__config__.CONFIG, "lapack"),
+    "blas_threads": ", ".join(f"{k}={os.environ.get(k, 'unset')}" for k in _BLAS_THREAD_VARS),
 }
 
 EXPERIMENT_KINDS = ("simulate", "charge", "ergodic", "error", "order")
@@ -225,11 +241,18 @@ def base_manifest(config: ExperimentConfig) -> dict:
     return man
 
 
+def _sample_mean(samples: np.ndarray):
+    """Mean along axis 0; where a column's samples are all equal, that value
+    itself, which the sum of n copies divided by n can miss in the last bits."""
+    x = np.asarray(samples, dtype=float)
+    return np.where((x == x[0]).all(axis=0), x[0], x.mean(axis=0))
+
+
 def jackknife_se(samples: np.ndarray, transform=None):
     """Leave-one-out standard error of transform(mean(samples)) along axis 0.
 
     With `transform=None` this reduces to the classical s/√n of the sample
-    mean; a single sample gives 0.
+    mean; a single sample, or a column of equal samples, gives 0.
     """
     x = np.asarray(samples, dtype=float)
     n = x.shape[0]
@@ -240,6 +263,7 @@ def jackknife_se(samples: np.ndarray, transform=None):
         loo = transform(loo)
     center = loo.mean(axis=0)
     out = np.sqrt((n - 1) / n * ((loo - center) ** 2).sum(axis=0))
+    out = np.where((x == x[0]).all(axis=0), 0.0, out)
     return out if out.ndim else float(out)
 
 
@@ -293,8 +317,8 @@ def _map_chunks(fn, configs, chunk_size):
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        # fork: a worker starts with numpy and scipy imported, where spawn
-        # would pay the 0.5 s import again in each
+        # fork: a worker starts with numpy and LAPACK loaded, where spawn
+        # would pay the 0.2 s import of dsnls again in each
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
             results = list(pool.map(_run_chunk, tasks))
     else:
@@ -392,7 +416,7 @@ def charge_experiment(config: ExperimentConfig, chunk_size=None) -> RunRecord:
 
     rows = tuple(
         (int(s), float(t), float(m), float(e), float(a))
-        for s, t, m, e, a in zip(rec_steps, times, values.mean(axis=0),
+        for s, t, m, e, a in zip(rec_steps, times, _sample_mean(values),
                                  jackknife_se(values), analytic)
     )
     return RunRecord(
@@ -438,7 +462,7 @@ def ergodic_experiment(config: ExperimentConfig, chunk_size=None) -> RunRecord:
     rows = []
     for j, initial in enumerate(config.initials):
         values = np.concatenate(chunks[j * per_run:(j + 1) * per_run])
-        mean = values.mean(axis=0)
+        mean = _sample_mean(values)
         se = jackknife_se(values)
         for i, s in enumerate(rec_steps):
             for k, name in enumerate(config.observables):
@@ -521,7 +545,7 @@ def ms_error(config: ExperimentConfig, chunk_size=None) -> RunRecord:
     err_table = {}
     for c, tc in enumerate(config.tau_ladder):
         for i, t_h in enumerate(horizon_order):
-            mean_sq = float(sq[:, c, i].mean())
+            mean_sq = float(_sample_mean(sq[:, c, i]))
             err = float(np.sqrt(mean_sq))
             se = float(jackknife_se(sq[:, c, i], transform=np.sqrt))
             rows.append((float(tc), float(t_h), err, se))

@@ -18,6 +18,13 @@ realization per column, and are column-wise deterministic: `zgttrs` sweeps
 each right-hand side on its own, so a column's bits do not depend on how
 many columns are solved with it.
 
+`zgttrf` and `zgttrs` are the function objects `scipy.linalg.lapack`
+exports: they live in scipy's f2py extension `scipy.linalg._flapack`, which
+this module loads by file (`_load_flapack`).  `import scipy.linalg` would run
+the whole package's `__init__`, which pulls in numpy.f2py, numpy.testing and
+numpy.ma and took about two thirds of a command's 0.5 s startup; loading the
+one extension takes milliseconds.
+
 With a cutoff, `step` scales the rotation angle by θ(‖Ψⁿ‖/R) with a smooth
 plateau cutoff θ (≡1 below R, ≡0 above 2R), which makes the drift globally
 Lipschitz while leaving the scheme untouched on trajectories that stay
@@ -26,11 +33,15 @@ inside radius R.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
+import scipy
 
 from .model import GridSpec, ModelParams, NoiseSpec
 from .noise import (
@@ -40,6 +51,31 @@ from .noise import (
     forcing_weights,
     project_forcing,
 )
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK extension, without running scipy.linalg's __init__.
+
+    Registered under its own name, so a later `import scipy.linalg` reuses
+    this module object rather than loading a second copy, and an earlier one
+    is reused here.  A scipy that moves the extension fails this import with
+    the directory it looked in.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    linalg = Path(scipy.__file__).parent / "linalg"
+    spec = FileFinder(str(linalg), (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no {name} extension module in {linalg}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_flapack = _load_flapack()
+zgttrf, zgttrs = _flapack.zgttrf, _flapack.zgttrs
 
 __all__ = [
     "NumericalError",

@@ -1,5 +1,6 @@
 import csv
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -46,6 +47,23 @@ M = 500
 record_stride = 16
 initial = sine
 """
+
+
+def _library(deps: dict) -> str:
+    return f"{deps['name']} {deps['version']}"
+
+
+#: What every manifest names of the toolchain its bytes are reproducible on.
+PROVENANCE_LINES = (
+    f"python = {platform.python_version()}",
+    f"numpy = {numpy.__version__}",
+    f"numpy_blas = {_library(numpy.show_config(mode='dicts')['Build Dependencies']['blas'])}",
+    f"scipy = {scipy.__version__}",
+    f"scipy_lapack = {_library(scipy.show_config(mode='dicts')['Build Dependencies']['lapack'])}",
+    "blas_threads = " + ", ".join(
+        f"{k}={os.environ.get(k, 'unset')}"
+        for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")),
+)
 
 TINY_CHARGE = """\
 [model]
@@ -173,8 +191,20 @@ class TestCliRuns:
         manifest = (out1 / "manifest.txt").read_text()
         for key in ("alpha", "epsilon", "tau", "seed", "generator", "schema"):
             assert key in manifest
-        assert f"numpy = {numpy.__version__}" in manifest
-        assert f"scipy = {scipy.__version__}" in manifest
+        for line in PROVENANCE_LINES:
+            assert f"\n{line}\n" in manifest, line
+
+    def test_fig1a_equal_realizations_report_their_value(self, tmp_path):
+        # ε = 0 makes every realization the same, so M = 4 reports the one
+        # realization's charge with standard error 0, byte for byte
+        tables = []
+        for m in (1, 4):
+            out = tmp_path / f"m{m}"
+            assert run(["charge", "--preset", "fig1a", "--set", f"M={m}",
+                        "--out", str(out)]) == EXIT_OK
+            tables.append((out / "charge.csv").read_bytes())
+        assert tables[0] == tables[1]
+        assert all(row.split(b",")[3] == b"0.0" for row in tables[1].splitlines()[1:])
 
     def test_seed_changes_output(self, tmp_path):
         cfg = tmp_path / "charge.cfg"
@@ -304,7 +334,9 @@ horizons = 0.25, 0.5
         lines = (out / "diagnostics.csv").read_text().strip().splitlines()
         assert lines[0] == "check,step,node,residual,tolerance,passed"
         assert all(line.endswith("True") for line in lines[1:])
-        assert f"scipy = {scipy.__version__}" in (out / "manifest.txt").read_text()
+        manifest = (out / "manifest.txt").read_text()
+        for line in PROVENANCE_LINES:
+            assert f"\n{line}\n" in manifest, line
 
     def test_diagnose_prints_pass_lines(self, capsys, tmp_path):
         run(["diagnose", "--out", str(tmp_path / "d")])
@@ -506,20 +538,38 @@ def _python_c(code: str) -> str:
     return proc.stdout.strip()
 
 
-def test_cli_import_leaves_scipy_special_unloaded():
-    # scipy.special would add its import time and memory to every run
-    assert _python_c("import sys, dsnls.cli; print('scipy.special' in sys.modules)") == "False"
-
-
-def test_single_chunk_runs_leave_multiprocessing_unloaded(tmp_path):
-    # only a run of more than one chunk pays for the pool's import
-    out = tmp_path / "one-chunk"
-    assert _python_c(
+@pytest.mark.parametrize("command", ["simulate", "charge", "order"])
+def test_commands_leave_heavy_modules_unloaded(command, tmp_path):
+    # each would add its import time and memory to every run: scipy.special;
+    # scipy.linalg's __init__, which pulls in numpy.f2py and numpy.testing; and,
+    # on a run of one chunk, the pool's multiprocessing
+    heavy = ("scipy.special", "scipy.linalg", "numpy.f2py", "numpy.testing", "multiprocessing")
+    argv = {
+        "simulate": ["simulate", "--preset", "fig1b", "--set", "kind=simulate"],
+        "charge": ["charge", "--preset", "fig1b", "--set", "M=2"],
+        "order": ["order", "--preset", "fig4-stoch", "--set", "M=2"],
+    }[command] + ["--set", "T=2^-5", "--out", str(tmp_path / command)]
+    lines = _python_c(
         "import sys, dsnls.cli\n"
-        "print('multiprocessing' in sys.modules)\n"
-        "dsnls.cli.run(['charge', '--preset', 'fig1b', '--set', 'M=2', '--set', 'T=2^-5', "
-        f"'--out', {str(out)!r}])\n"
-        "print('multiprocessing' in sys.modules)") == "False\nwrote " + str(out) + "\nFalse"
+        f"print(sorted(set({heavy!r}) & set(sys.modules)))\n"
+        f"assert dsnls.cli.run({argv!r}) == 0\n"
+        f"print(sorted(set({heavy!r}) & set(sys.modules)))").splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]"), lines
+
+
+@pytest.mark.parametrize("first", ["dsnls", "scipy.linalg"])
+def test_lapack_routines_are_scipy_linalg_lapacks(first):
+    # one LAPACK module whichever is imported first, holding the very
+    # functions scipy.linalg.lapack exports: a scipy that moves or replaces
+    # them fails here, not as a second code path
+    second = "scipy.linalg" if first == "dsnls" else "dsnls"
+    assert _python_c(
+        f"import sys, {first}, {second}\n"
+        "from dsnls import integrator\n"
+        "from scipy.linalg import lapack\n"
+        "print(integrator.zgttrf is lapack.zgttrf, integrator.zgttrs is lapack.zgttrs,\n"
+        "      integrator._flapack is sys.modules['scipy.linalg._flapack'])"
+    ) == "True True True"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

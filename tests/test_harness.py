@@ -15,6 +15,7 @@ from dsnls.harness import (
     order_fit,
     _chunks,
     _map_chunks,
+    _sample_mean,
     _sweep,
     resolve_initial,
     stream_noise,
@@ -102,6 +103,15 @@ class TestJackknife:
         assert out.shape == (3,)
         for k in range(3):
             assert out[k] == pytest.approx(jackknife_se(x[:, k]), rel=1e-12)
+
+    def test_equal_samples_give_their_value_and_zero(self):
+        # 0.1 summed three times and divided by 3 is 0.10000000000000002
+        x = np.full((3, 2), 0.1)
+        x[1, 1] = 0.2
+        assert _sample_mean(x).tolist() == [0.1, x[:, 1].mean()]
+        assert jackknife_se(x)[0] == 0.0 and jackknife_se(x)[1] > 0.0
+        assert jackknife_se(x[:, 0], transform=np.sqrt) == 0.0
+        assert float(_sample_mean(x[:, 0])) == 0.1
 
     def test_sqrt_transform_scales_like_delta_method(self):
         rng = np.random.default_rng(2)
