@@ -538,6 +538,22 @@ def _python_c(code: str) -> str:
     return proc.stdout.strip()
 
 
+def test_cli_import_leaves_scipy_special_unloaded():
+    # scipy.special would add its import time and memory to every run
+    assert _python_c("import sys, dsnls.cli; print('scipy.special' in sys.modules)") == "False"
+
+
+def test_single_chunk_runs_leave_multiprocessing_unloaded(tmp_path):
+    # only a run of more than one chunk pays for the pool's import
+    out = tmp_path / "one-chunk"
+    assert _python_c(
+        "import sys, dsnls.cli\n"
+        "print('multiprocessing' in sys.modules)\n"
+        "dsnls.cli.run(['charge', '--preset', 'fig1b', '--set', 'M=2', '--set', 'T=2^-5', "
+        f"'--out', {str(out)!r}])\n"
+        "print('multiprocessing' in sys.modules)") == "False\nwrote " + str(out) + "\nFalse"
+
+
 @pytest.mark.parametrize("command", ["simulate", "charge", "order"])
 def test_commands_leave_heavy_modules_unloaded(command, tmp_path):
     # each would add its import time and memory to every run: scipy.special;
