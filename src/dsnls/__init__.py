@@ -13,7 +13,6 @@ from .model import (
     spectrum,
 )
 from .noise import (
-    BrownianPath,
     forcing_weights,
     generate_path,
 )
@@ -22,7 +21,6 @@ from .integrator import (
     CutoffFunction,
     LinearPropagator,
     NumericalError,
-    Trajectory,
     integrate,
     make_propagator,
     march,

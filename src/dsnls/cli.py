@@ -23,15 +23,16 @@ from .diagnostics import run_diagnostic_suite
 from .harness import (
     PROVENANCE,
     base_manifest,
+    batch_forcing,
     charge_experiment,
     ergodic_experiment,
     ms_error,
     order_fit,
     resolve_initial,
-    stream_noise,
 )
 from .integrator import BlowUpError, integrate, make_propagator
-from .noise import generate_path
+# only for perfbench/child.py's tracer, which looks it up here (ROADMAP item 1)
+from .noise import generate_path  # noqa: F401
 from .presets import preset_config, preset_lines
 
 __all__ = ["main", "run"]
@@ -58,18 +59,18 @@ def _write_csv(path: Path, columns, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_trajectory(path: Path, traj) -> None:
-    """trajectory.csv with `_write_csv`'s bytes, written one snapshot at a time.
+def _write_trajectory(path: Path, steps, tau: float, states) -> None:
+    """trajectory.csv with `_write_csv`'s bytes, written one snapshot at a time:
+    state states[i] at step steps[i] and time steps[i] · tau.
 
     No cell of these rows needs quoting, so csv.writer's line is the cells'
     str/repr joined by "," and ended by "\r\n"; formatting it directly skips
     a `_fmt` call per cell and a `writerow` per line.
     """
-    nodes = [str(j) for j in range(1, traj.states.shape[1] + 1)]
+    nodes = [str(j) for j in range(1, states.shape[1] + 1)]
     with open(path, "w", newline="") as fh:
         fh.write("step,t,node,re,im\r\n")
-        for step, t, state in zip(traj.step_indices.tolist(), traj.times.tolist(),
-                                  traj.states):
+        for step, t, state in zip(steps.tolist(), (steps * tau).tolist(), states):
             head = f"{step},{t!r},"
             fh.write("".join([f"{head}{node},{re!r},{im!r}\r\n" for node, re, im
                               in zip(nodes, state.real.tolist(), state.imag.tolist())]))
@@ -163,15 +164,16 @@ def _cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     psi0 = resolve_initial(config.grid, config.initial)
     prop = make_propagator(config.grid, config.tau, config.params.alpha)
-    path = None
-    if config.params.epsilon > 0.0:
-        path = generate_path(stream_noise(config), config.tau, config.n_steps, 0)
-    traj = integrate(psi0, prop, config.params, config.noise, path,
-                     n_steps=config.n_steps, record_stride=config.record_stride)
+    # realization 0 of the ensemble, stepped as a batch of one column
+    forcing = batch_forcing(config, config.tau, config.n_steps, range(1))
+    steps, states = integrate(psi0[:, None], prop, config.params, forcing, config.n_steps,
+                              config.record_stride)
+    wall = time.perf_counter() - t0
     manifest = base_manifest(config)
-    manifest["wall_time_s"] = f"{time.perf_counter() - t0:.3f}"
+    manifest["wall_time_s"] = f"{wall:.3f}"
+    manifest["realization_steps_per_s"] = f"{config.n_steps / wall:.0f}"
     _emit(out, manifest, serialize_config(config), "simulate", args.set or [],
-          (_write_trajectory, "trajectory.csv", traj))
+          (_write_trajectory, "trajectory.csv", steps, config.tau, states[:, :, 0]))
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -210,21 +212,22 @@ def _build_parser() -> argparse.ArgumentParser:
                     "equation: simulations, structure diagnostics, Monte Carlo experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_config=True):
-        if with_config:
-            p.add_argument("--config", metavar="PATH", help="config file")
-            p.add_argument("--preset", metavar="NAME", help="named preset (see `dsnls presets`)")
-            p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                           help="override a config key (repeatable)")
+    def add_common(p):
+        p.add_argument("--config", metavar="PATH", help="config file")
+        p.add_argument("--preset", metavar="NAME", help="named preset (see `dsnls presets`)")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="override a config key (repeatable)")
         p.add_argument("--out", default="dsnls-out", metavar="DIR", help="output directory")
         p.add_argument("--seed", type=int, default=None, metavar="N", help="base seed override")
-        p.add_argument("--chunk-size", type=int, default=None, metavar="M",
-                       help="realizations per chunk (default: at most 256, split "
-                            "evenly); chunks run on the usable CPUs (`taskset -c 0` "
-                            "gives one), and neither changes a byte of the results")
 
-    for name in ("simulate", "charge", "ergodic", "error", "order"):
-        add_common(sub.add_parser(name, help=f"run a '{name}' experiment"))
+    add_common(sub.add_parser("simulate", help="run a 'simulate' experiment"))
+    for name in ("charge", "ergodic", "error", "order"):
+        ensemble = sub.add_parser(name, help=f"run a '{name}' experiment")
+        add_common(ensemble)
+        ensemble.add_argument("--chunk-size", type=int, default=None, metavar="M",
+                              help="realizations per chunk (default: at most 256, split "
+                                   "evenly); chunks run on the usable CPUs (`taskset -c 0` "
+                                   "gives one), and neither changes a byte of the results")
     diag = sub.add_parser("diagnose", help="machine-precision identity suite")
     diag.add_argument("--out", default="dsnls-out", metavar="DIR")
     diag.add_argument("--seed", type=int, default=None, metavar="N")

@@ -376,8 +376,8 @@ def run_diagnostic_suite(seed: int = 0) -> list[DiagnosticRow]:
         psi = rng.standard_normal(J) + 1j * rng.standard_normal(J)
         g = None
         if params.epsilon > 0.0:
-            path = generate_path(noise_spec, tau, 1, trial)
-            g = forcing_weights(grid, noise_spec, params.epsilon) @ path.increments[0]
+            g = forcing_weights(grid, noise_spec, params.epsilon) @ generate_path(
+                noise_spec, tau, 1, trial)[0]
         nxt = step(psi, prop, params, g)
         stage = prop.damping_factor * nonlinear_step(psi, params.lam, tau)
         res = abs(step_energy_residual(psi, nxt, stage, g, params, tau))

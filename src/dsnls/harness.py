@@ -44,7 +44,7 @@ from .model import (
     sample_initial,
 )
 from .noise import (
-    FORCING_BLOCK_STEPS as _BLOCK_STEPS,
+    FORCING_BLOCK_STEPS,
     GENERATOR_NAME,
     fold_noise,
     forcing_blocks,
@@ -60,6 +60,7 @@ __all__ = [
     "OrderFit",
     "resolve_initial",
     "stream_noise",
+    "batch_forcing",
     "charge_experiment",
     "ergodic_experiment",
     "ms_error",
@@ -337,28 +338,32 @@ def _ensemble_manifest(config: ExperimentConfig, t0: float, run_info: dict,
     return manifest
 
 
-def _batch_forcing(config: ExperimentConfig, tau: float, n_steps: int, realizations: range):
-    """Per-step (J, m) forcing for a batch of realizations, column i fed from
-    realization realizations[i]'s own stream of `stream_noise(config)`; None at
-    every step when ε = 0.
+def batch_forcing(config: ExperimentConfig, tau: float, n_steps: int, realizations: range):
+    """Iterator of per-step (J, m) forcing for a batch of realizations, column
+    i fed from realization realizations[i]'s own stream of
+    `stream_noise(config)`; None at every step when ε = 0.
 
-    Each stream is projected at fixed per-realization shapes, so every column
-    is bit-identical no matter how realizations are grouped into batches.
+    The streams are opened here; their blocks are drawn and projected as the
+    rows are taken.  Each stream is projected at fixed per-realization
+    shapes, so every column is bit-identical no matter how realizations are
+    grouped into batches.  A yielded row is a view of one reused block
+    buffer: it is valid only until the next row is drawn.
     """
-    params = config.params
-    if not params.epsilon > 0.0:
-        yield from itertools.repeat(None, n_steps)
-        return
+    if not config.params.epsilon > 0.0:
+        return itertools.repeat(None, n_steps)
     noise = stream_noise(config)
-    weights = forcing_weights(config.grid, noise, params.epsilon)
-    streams = [forcing_blocks(weights, noise, tau, n_steps, r, _BLOCK_STEPS)
-               for r in realizations]
-    for a in range(0, n_steps, _BLOCK_STEPS):
-        block = np.empty((min(_BLOCK_STEPS, n_steps - a), config.grid.J, len(streams)),
-                         dtype=complex)
-        for i, s in enumerate(streams):
-            block[:, :, i] = next(s)  # filled in place, so no block is held twice
-        yield from block
+    weights = forcing_weights(config.grid, noise, config.params.epsilon)
+    streams = [forcing_blocks(weights, noise, tau, n_steps, r) for r in realizations]
+    buffer = np.empty((min(FORCING_BLOCK_STEPS, n_steps), config.grid.J, len(streams)),
+                      dtype=complex)
+
+    def rows():
+        for a in range(0, n_steps, FORCING_BLOCK_STEPS):
+            block = buffer[:min(FORCING_BLOCK_STEPS, n_steps - a)]
+            for i, s in enumerate(streams):
+                block[:, :, i] = next(s)
+            yield from block
+    return rows()
 
 
 def _record_steps(n_steps: int, stride: int, include_zero: bool = True) -> list:
@@ -376,7 +381,7 @@ def _sweep(config: ExperimentConfig, prop, psi0: np.ndarray, lo: int, hi: int):
     and when ε = 0.  `march` raises `BlowUpError` naming the realization.
     """
     forcing, taken = itertools.tee(
-        _batch_forcing(config, prop.tau, config.n_steps, range(lo, hi)))
+        batch_forcing(config, prop.tau, config.n_steps, range(lo, hi)))
     psi = np.tile(psi0[:, None], (1, hi - lo))
     for n, psi in march(psi, prop, config.params, forcing, config.n_steps,
                         first_realization=lo):

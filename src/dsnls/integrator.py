@@ -34,7 +34,6 @@ inside radius R.
 from __future__ import annotations
 
 import importlib.util
-import itertools
 import sys
 from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
@@ -43,14 +42,10 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .model import GridSpec, ModelParams, NoiseSpec
-from .noise import (
-    FORCING_BLOCK_STEPS,
-    BrownianPath,
-    fold_noise,
-    forcing_weights,
-    project_forcing,
-)
+from .model import GridSpec, ModelParams
+
+# only for perfbench/child.py's tracer, which looks them up here (ROADMAP item 1)
+from .noise import forcing_weights, project_forcing  # noqa: F401
 
 
 def _load_flapack():
@@ -82,7 +77,6 @@ __all__ = [
     "BlowUpError",
     "LinearPropagator",
     "CutoffFunction",
-    "Trajectory",
     "column_norm2",
     "make_propagator",
     "nonlinear_step",
@@ -359,66 +353,13 @@ def march(psi: np.ndarray, prop: LinearPropagator, params: ModelParams, forcing,
         yield n, psi
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Recorded snapshots: times[i] = step_indices[i] · τ, states[i] = Ψ at that step."""
-
-    step_indices: np.ndarray
-    times: np.ndarray
-    states: np.ndarray
-
-
-def integrate(psi0: np.ndarray, prop: LinearPropagator, params: ModelParams,
-              noise: NoiseSpec, path: BrownianPath | None, *,
-              n_steps: int | None = None,
-              cutoff: CutoffFunction | None = None,
-              record_stride: int = 1) -> Trajectory:
-    """Drive the scheme along one Brownian path, recording every `record_stride` steps.
-
-    The forcing is that of `fold_noise(prop.grid, noise)`, the modes the
-    grid can see, so `path` must carry that folded spec's mode count; a
-    path drawn from the folded spec gives bit for bit column
-    `path.realization` of an ensemble.  Raises `ValueError` on a path of
-    any other mode count.
-
-    The step count defaults to the path length; with `path=None` (noise-free
-    run) pass `n_steps` explicitly, or leave both unset for the trivial
-    zero-step trajectory [Ψ⁰].  Raises `BlowUpError` on the first non-finite
-    state instead of propagating NaNs.
-    """
-    if record_stride < 1:
-        raise ValueError(f"record_stride must be >= 1, got {record_stride}")
-    psi = np.asarray(psi0, dtype=complex)
-    if psi.shape != (prop.grid.J,):
-        raise ValueError(f"psi0 has shape {psi.shape}, expected ({prop.grid.J},)")
-    if path is not None:
-        if path.tau != prop.tau:
-            raise ValueError(f"path tau {path.tau} != propagator tau {prop.tau}")
-        if n_steps is None:
-            n_steps = path.n_steps
-        elif n_steps > path.n_steps:
-            raise ValueError(f"n_steps {n_steps} exceeds path length {path.n_steps}")
-    else:
-        n_steps = 0 if n_steps is None else n_steps
-
-    forcing = itertools.repeat(None)
-    if path is not None and params.epsilon > 0.0:
-        folded = fold_noise(prop.grid, noise)
-        if path.P != folded.P:
-            raise ValueError(f"path has {path.P} modes, but the noise folds to "
-                             f"{folded.P} on {prop.grid.J} nodes")
-        weights = forcing_weights(prop.grid, folded, params.epsilon)
-        # projected block by block, the blocks ensembles use, so that the whole
-        # (n_steps, J) forcing is never held at once
-        forcing = itertools.chain.from_iterable(
-            project_forcing(path.increments[a:min(a + FORCING_BLOCK_STEPS, n_steps)], weights)
-            for a in range(0, n_steps, FORCING_BLOCK_STEPS))
-
-    snaps = []
-    snap_steps = []
-    for n, psi in march(psi, prop, params, forcing, n_steps, cutoff):
+def integrate(psi0: np.ndarray, prop: LinearPropagator, params: ModelParams, forcing,
+              n_steps: int, record_stride: int = 1):
+    """`march` Ψ⁰ along `forcing`, returning the indices of every
+    `record_stride`-th step and the last, and the states there stacked."""
+    steps, states = [], []
+    for n, psi in march(psi0, prop, params, forcing, n_steps):
         if n % record_stride == 0 or n == n_steps:
-            snaps.append(psi.copy())
-            snap_steps.append(n)
-    idx = np.asarray(snap_steps)
-    return Trajectory(step_indices=idx, times=idx * prop.tau, states=np.asarray(snaps))
+            steps.append(n)
+            states.append(psi)  # march never modifies a state it has yielded
+    return np.asarray(steps), np.asarray(states)

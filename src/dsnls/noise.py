@@ -25,14 +25,11 @@ weights and stream bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import NoiseSpec, eigenfunction_matrix
 
 __all__ = [
-    "BrownianPath",
     "fold_noise",
     "stream_key",
     "generate_path",
@@ -44,8 +41,7 @@ __all__ = [
 
 GENERATOR_NAME = "philox4x64-10/splitmix64-key/folded-modes"
 
-#: Increments are projected to forcing in blocks of this many steps everywhere
-#: (single trajectories and ensembles alike), so the two paths agree bit-for-bit.
+#: Steps per block of every realization's forcing stream (`forcing_blocks`).
 FORCING_BLOCK_STEPS = 256
 
 _MASK64 = (1 << 64) - 1
@@ -89,28 +85,6 @@ def _stream(noise: NoiseSpec, realization: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=stream_key(noise.seed, realization)))
 
 
-@dataclass(frozen=True, eq=False)
-class BrownianPath:
-    """Complex Wiener increments δβ over n_steps uniform steps of size tau.
-
-    `increments` has shape (n_steps, P).  Regenerating with the same
-    (NoiseSpec, tau, n_steps, realization) reproduces it bit-for-bit.
-    """
-
-    tau: float
-    increments: np.ndarray
-    base_seed: int
-    realization: int
-
-    @property
-    def n_steps(self) -> int:
-        return self.increments.shape[0]
-
-    @property
-    def P(self) -> int:
-        return self.increments.shape[1]
-
-
 def _draw(gen: np.random.Generator, n_steps: int, P: int, root: float) -> np.ndarray:
     """The next (n_steps, P) complex increments of `gen`, scaled by `root` = √τ."""
     raw = gen.standard_normal((n_steps, P, 2))
@@ -118,37 +92,28 @@ def _draw(gen: np.random.Generator, n_steps: int, P: int, root: float) -> np.nda
     return raw.view(complex)[..., 0]  # (re, im) pairs read in place as complex
 
 
-def generate_path(noise: NoiseSpec, tau_fine: float, n_steps: int, realization: int) -> BrownianPath:
-    """Sample one realization's increments from its dedicated stream."""
-    if not tau_fine > 0.0:
-        raise ValueError(f"tau_fine must be > 0, got {tau_fine}")
+def generate_path(noise: NoiseSpec, tau_fine: float, n_steps: int, realization: int) -> np.ndarray:
+    """One realization's (n_steps, P) increments δβ over steps of tau_fine:
+    its stream drawn as one block of `increment_blocks`."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    return BrownianPath(
-        tau=tau_fine,
-        increments=_draw(_stream(noise, realization), n_steps, noise.P, np.sqrt(tau_fine)),
-        base_seed=noise.seed,
-        realization=realization,
-    )
+    return next(increment_blocks(noise, tau_fine, n_steps, realization, n_steps))
 
 
 def increment_blocks(noise: NoiseSpec, tau_fine: float, n_steps: int, realization: int,
-                     block_size: int = 256):
-    """Yield the same increments as `generate_path`, in (<=block_size, P) chunks.
+                     block_size: int = FORCING_BLOCK_STEPS):
+    """One realization's increments, as an iterator of (<=block_size, P) blocks.
 
-    Chunked draws consume the stream sequentially, so the concatenation of all
-    blocks is bit-identical to the one-shot path.  A suspended generator holds
-    no block: each is formed by `_draw` and handed straight out.
+    The stream is opened here and the blocks are drawn as they are taken; they
+    consume it in order, so the blocks joined are the same bits whatever the
+    block size.  A suspended iterator holds no block.
     """
     if not tau_fine > 0.0:
         raise ValueError(f"tau_fine must be > 0, got {tau_fine}")
     gen = _stream(noise, realization)
     root = np.sqrt(tau_fine)
-    done = 0
-    while done < n_steps:
-        n = min(block_size, n_steps - done)
-        yield _draw(gen, n, noise.P, root)
-        done += n
+    return (_draw(gen, min(block_size, n_steps - a), noise.P, root)
+            for a in range(0, n_steps, block_size))
 
 
 def forcing_weights(grid, noise: NoiseSpec, epsilon: float) -> np.ndarray:
@@ -158,22 +123,18 @@ def forcing_weights(grid, noise: NoiseSpec, epsilon: float) -> np.ndarray:
 
 
 def project_forcing(increments: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Map increment rows (n, P) to forcing rows (n, J), in FORCING_BLOCK_STEPS
-    blocks so the result is bit-identical however the caller batches steps."""
-    wt = np.ascontiguousarray(weights.T)
-    parts = [increments[a:a + FORCING_BLOCK_STEPS] @ wt
-             for a in range(0, increments.shape[0], FORCING_BLOCK_STEPS)]
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]
+    """Forcing rows (n, J) of increment rows (n, P): increments @ weightsᵀ."""
+    return increments @ np.ascontiguousarray(weights.T)
 
 
 def forcing_blocks(weights: np.ndarray, noise: NoiseSpec, tau_fine: float, n_steps: int,
-                   realization: int, block_size: int = FORCING_BLOCK_STEPS):
-    """Yield projected forcing increments (<=block_size, J) for one realization.
-
-    Each block is (δβ block) @ weightsᵀ computed at fixed per-realization
-    shapes, so the values do not depend on how realizations are batched.
+                   realization: int):
+    """One realization's forcing increments, as an iterator of projected
+    (<=FORCING_BLOCK_STEPS, J) blocks of `increment_blocks`, whose stream it
+    opens.  Every block is projected alone at per-realization shapes, so the
+    values do not depend on how realizations are batched.
     """
-    wt = np.ascontiguousarray(weights.T)
-    blocks = increment_blocks(noise, tau_fine, n_steps, realization, block_size)
-    for _ in range(0, n_steps, block_size):
-        yield next(blocks) @ wt  # never bound, so not held while suspended
+    blocks = increment_blocks(noise, tau_fine, n_steps, realization)
+    # next(blocks) is never bound, so a suspended iterator holds no block
+    return (project_forcing(next(blocks), weights)
+            for _ in range(0, n_steps, FORCING_BLOCK_STEPS))

@@ -18,8 +18,8 @@ from dsnls.diagnostics import (
 from dsnls.harness import charge_experiment, ergodic_experiment, ms_error, order_fit
 from dsnls.integrator import (
     CutoffFunction,
-    integrate,
     make_propagator,
+    march,
     nonlinear_step,
     step,
 )
@@ -49,7 +49,7 @@ def test_c01_per_step_energy_identity():
         g = None
         if params.epsilon > 0.0:
             noise = NoiseSpec(P=5, eta=spectrum("power-law(4)", 5), seed=trial)
-            g = project_forcing(generate_path(noise, tau, 1, 0).increments,
+            g = project_forcing(generate_path(noise, tau, 1, 0),
                                 forcing_weights(grid, noise, params.epsilon))[0]
         nxt = step(psi, prop, params, g)
         stage = prop.damping_factor * nonlinear_step(psi, params.lam, tau)
@@ -210,18 +210,20 @@ def test_c10_truncation_coincidence():
     tau = 2.0 ** -6
     prop = make_propagator(grid, tau, params.alpha)
     psi0 = sample_initial(grid, "sine")
-    path = generate_path(fold_noise(grid, noise), tau, 128, 0)
+    folded = fold_noise(grid, noise)
+    g_all = project_forcing(generate_path(folded, tau, 128, 0),
+                            forcing_weights(grid, folded, params.epsilon))
 
-    plain = integrate(psi0, prop, params, noise, path, record_stride=1)
-    radius = float(np.sqrt((np.abs(plain.states) ** 2).sum(axis=1)).max()) * 1.5
+    plain = np.array([psi for _, psi in march(psi0, prop, params, iter(g_all), 128)])
+    radius = float(np.sqrt((np.abs(plain) ** 2).sum(axis=1)).max()) * 1.5
     cut = CutoffFunction(R=radius)
-    truncated = integrate(psi0, prop, params, noise, path, cutoff=cut, record_stride=1)
-    inside_identical = bool(np.array_equal(plain.states, truncated.states))
+    truncated = np.array([psi for _, psi in march(psi0, prop, params, iter(g_all), 128, cut)])
+    inside_identical = bool(np.array_equal(plain, truncated))
 
     rng = np.random.default_rng(9)
     big = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     small_cut = CutoffFunction(R=float(np.linalg.norm(big)) / 2.5)  # norm >= 2R
-    g = project_forcing(generate_path(noise, tau, 1, 1).increments,
+    g = project_forcing(generate_path(noise, tau, 1, 1),
                         forcing_weights(grid, noise, params.epsilon))[0]
     suppressed = step(big, prop, params, g, cutoff=small_cut)
     linear_only = prop.solve_minus(prop.apply_plus(prop.damping_factor * big) + g)

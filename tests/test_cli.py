@@ -19,7 +19,6 @@ from dsnls.cli import (
     run,
 )
 from dsnls.config import ConfigError, parse_config, serialize_config
-from dsnls.integrator import Trajectory
 from dsnls.presets import PRESETS, preset_config
 
 FIG1B_TEXT = """\
@@ -414,32 +413,46 @@ def test_manifest_records_write_seconds(command, tmp_path):
     assert run([*argv, "--out", str(out)]) == EXIT_OK
     text = (out / "manifest.txt").read_text()
     assert re.search(r"^write_s = \d+\.\d{3}$", text, re.MULTILINE), text
-    if command == "simulate":
-        return
-    # every ensemble also records how its chunks ran and its throughput:
-    # realization-steps over the wall time, which the manifest rounds to 1 ms
+    # every run records its throughput: realization-steps over the wall time,
+    # which the manifest rounds to 1 ms; every ensemble also records how its
+    # chunks ran
     manifest = dict(line.split(" = ", 1) for line in text.split("\n\n")[0].splitlines())
-    for key in ("cpus", "chunks", "workers", "realization_steps_per_s"):
+    keys = ["realization_steps_per_s"]
+    if command != "simulate":
+        keys += ["cpus", "chunks", "workers"]
+    for key in keys:
         assert re.fullmatch(r"[1-9]\d*", manifest[key]), (key, manifest.get(key))
     config = parse_config(text.split("# config echo\n")[1].replace("| ", ""))
-    realization_steps = 2 * len(config.initials or [None]) * config.n_steps
+    realizations = 1 if command == "simulate" else 2 * len(config.initials or [None])
+    realization_steps = realizations * config.n_steps
     wall = float(manifest["wall_time_s"])
     rate = int(manifest["realization_steps_per_s"])
     assert realization_steps / (wall + 0.0005) - 1 <= rate
     assert rate <= realization_steps / max(wall - 0.0005, 1e-9) + 1
 
 
+def test_chunk_size_is_an_ensemble_option(tmp_path, capsys):
+    # simulate runs one realization, so it has no chunks to size
+    argv = ["--preset", "fig1a", "--set", "T=2^-5", "--chunk-size", "3"]
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", *argv, "--set", "kind=simulate", "--out", str(tmp_path / "sim")])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--chunk-size" in capsys.readouterr().err
+    assert run(["charge", *argv, "--set", "kind=charge", "--set", "M=4",
+                "--out", str(tmp_path / "charge")]) == EXIT_OK
+
+
 class TestTrajectoryWriter:
     @staticmethod
-    def _reference(path, traj):
+    def _reference(path, steps, tau, states):
         # the rule trajectory.csv was first written by: csv.writer rows of
-        # str(int) and repr(float(.)) cells
+        # str(int) and repr(float(.)) cells, the time being step * tau
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(("step", "t", "node", "re", "im"))
-            for step, t, state in zip(traj.step_indices, traj.times, traj.states):
+            for step, state in zip(steps, states):
                 for j, z in enumerate(state, start=1):
-                    writer.writerow([str(int(step)), repr(float(t)), str(j),
+                    writer.writerow([str(int(step)), repr(float(int(step) * tau)), str(j),
                                      repr(float(z.real)), repr(float(z.imag))])
 
     def test_bytes_equal_csv_writer_on_edge_cells(self, tmp_path):
@@ -447,32 +460,31 @@ class TestTrajectoryWriter:
         states = numpy.array([complex(re, im) for re, im in zip(cells, cells[::-1])]
                              + [complex(-0.0, -0.0)]).reshape(3, 3)
         assert str(states[0, 0].real) == "-0.0"
-        traj = Trajectory(step_indices=numpy.array([0, 7, 1_048_577]),
-                          times=numpy.array([0.0, 0.1 + 0.2, 1e+16]), states=states)
-        _write_trajectory(tmp_path / "new.csv", traj)
-        self._reference(tmp_path / "ref.csv", traj)
+        steps = numpy.array([0, 3, 10 ** 17])  # times 0.0, 0.30000000000000004, 1e+16
+        _write_trajectory(tmp_path / "new.csv", steps, 0.1, states)
+        self._reference(tmp_path / "ref.csv", steps, 0.1, states)
         data = (tmp_path / "new.csv").read_bytes()
         assert data == (tmp_path / "ref.csv").read_bytes()
-        for cell in (b",-0.0,", b",5e-324", b",1e-05,", b",1e+16", b",0.30000000000000004,",
-                     b"1048577,1e+16,3,", b"\r\n"):
+        for cell in (b",-0.0,", b",5e-324", b",1e-05,", b",1e+16", b"3,0.30000000000000004,",
+                     b"100000000000000000,1e+16,3,", b"\r\n"):
             assert cell in data, cell
 
     def test_j1000_simulate_matches_csv_writer(self, tmp_path, monkeypatch):
         import dsnls.cli as cli
 
-        trajs = []
+        recorded = []
 
         def captured(*args, _fn=cli.integrate, **kwargs):
-            trajs.append(_fn(*args, **kwargs))
-            return trajs[-1]
+            recorded.append(_fn(*args, **kwargs))
+            return recorded[-1]
         monkeypatch.setattr(cli, "integrate", captured)
         out = tmp_path / "sim"
         assert run(["simulate", "--preset", "fig1b", "--set", "kind=simulate",
                     "--set", "J=1000", "--set", "tau=2^-10", "--set", "T=2^-7",
                     "--set", "record_stride=1", "--out", str(out)]) == EXIT_OK
-        (traj,) = trajs
-        assert traj.states.shape == (9, 1000)
-        self._reference(tmp_path / "ref.csv", traj)
+        ((steps, states),) = recorded
+        assert states.shape == (9, 1000, 1)  # realization 0 as a batch of one column
+        self._reference(tmp_path / "ref.csv", steps, 2.0 ** -10, states[:, :, 0])
         assert (out / "trajectory.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
@@ -496,6 +508,44 @@ def test_commands_call_their_experiment_through_cli_globals(tmp_path, monkeypatc
         calls.clear()
         assert run([*argv, "--out", str(tmp_path / argv[0])]) == EXIT_OK
         assert calls == {name: 1}
+
+
+@pytest.mark.parametrize("argv, normals, steps", [
+    # noise.normals = 2 min(J, P) n_steps M, with J = 9, P = 100 and
+    # n_steps = T / tau; integrator.steps counts the batch steps, the order
+    # ladder's coarse steps (2^-10 .. 2^-7 against 2^-12) included
+    (["simulate", "--preset", "fig1b", "--set", "kind=simulate", "--set", "T=2^-2"],
+     2 * 9 * 16 * 1, 16),
+    (["charge", "--preset", "fig1b", "--set", "M=2", "--set", "T=2^-2"], 2 * 9 * 16 * 2, 16),
+    (["order", "--preset", "fig4-stoch", "--set", "M=2", "--set", "T=2^-5"],
+     2 * 9 * 128 * 2, 128 + 32 + 16 + 8 + 4),
+])
+def test_perfbench_tracer_runs_on_this_code(argv, normals, steps, tmp_path):
+    # perfbench/child.py --trace 1 wraps module attributes by name; one it
+    # cannot find, or one the commands no longer call, breaks the benchmark's
+    # per-layer metrics.  One chunk each, so every call is in this process.
+    import json
+    import time
+
+    child = Path(dsnls.__file__).resolve().parents[2] / "perfbench" / "child.py"
+    env = dict(os.environ)
+    src = str(Path(dsnls.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    report = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, str(child), repr(time.monotonic()), str(report), "1", "--",
+         *argv, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(report.read_text())
+    assert result["setup_s"] > 0.0
+    assert result["layers"]["noise.normals"] == normals
+    assert result["layers"]["integrator.steps"] == steps
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    # numpy.random costs about 18 ms and 5 MB: the first opened stream loads it
+    assert _python_c("import sys, dsnls.cli; print('numpy.random' in sys.modules)") == "False"
 
 
 def test_python_m_dsnls_runs_the_cli():

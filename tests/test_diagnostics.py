@@ -107,7 +107,7 @@ class TestEnergyIdentity:
         prop = make_propagator(grid, 2.0 ** -6, params.alpha)
         noise = NoiseSpec(P=6, eta=spectrum("power-law(6)", 6), seed=2)
         g = forcing_weights(grid, noise, params.epsilon) @ generate_path(
-            noise, prop.tau, 1, 0).increments[0]
+            noise, prop.tau, 1, 0)[0]
         psi = _random_state(12, seed=3)
         nxt = step(psi, prop, params, g)
         stage = prop.damping_factor * nonlinear_step(psi, params.lam, prop.tau)

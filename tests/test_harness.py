@@ -17,16 +17,29 @@ from dsnls.harness import (
     _map_chunks,
     _sample_mean,
     _sweep,
+    batch_forcing,
     resolve_initial,
     stream_noise,
 )
-from dsnls.integrator import BlowUpError, integrate, make_propagator
+from dsnls.integrator import BlowUpError, integrate, make_propagator, step
 from dsnls.model import GridSpec, ModelParams, NoiseSpec, spectrum
-from dsnls.noise import fold_noise, generate_path
+from dsnls.noise import fold_noise, forcing_weights, generate_path, project_forcing
 
 
 def _exit_in_worker(config, lo, hi):
     os._exit(1)
+
+
+def _manual_states(cfg, prop, psi0):
+    """Realization 0's states at every step, from a plain `step` loop along
+    its whole path projected at once."""
+    noise = stream_noise(cfg)
+    g_all = project_forcing(generate_path(noise, cfg.tau, cfg.n_steps, 0),
+                            forcing_weights(cfg.grid, noise, cfg.params.epsilon))
+    states = [psi0]
+    for g in g_all:
+        states.append(step(states[-1], prop, cfg.params, g))
+    return np.array(states)
 
 
 def _config(**overrides):
@@ -126,14 +139,19 @@ class TestRunEnsemble:
     """The ensemble driver, seen through the charge experiment it feeds."""
 
     def test_single_realization_matches_integrate(self):
+        # realization 0 of the charge ensemble, the trajectory `simulate`
+        # records and a step loop fed straight from the path all agree
         cfg = _config(M=1, record_stride=8)
         h = cfg.grid.h
         rec = charge_experiment(cfg)
         prop = make_propagator(cfg.grid, cfg.tau, cfg.params.alpha)
-        path = generate_path(stream_noise(cfg), cfg.tau, cfg.n_steps, 0)
-        traj = integrate(resolve_initial(cfg.grid, "sine"), prop, cfg.params,
-                         cfg.noise, path, record_stride=8)
-        direct = discrete_charge(traj.states.T, h)
+        psi0 = resolve_initial(cfg.grid, "sine")
+        _, states = integrate(psi0[:, None], prop, cfg.params,
+                              batch_forcing(cfg, cfg.tau, cfg.n_steps, range(1)),
+                              cfg.n_steps, record_stride=8)
+        manual = _manual_states(cfg, prop, psi0)[::8]
+        np.testing.assert_array_equal(states[:, :, 0], manual)
+        direct = discrete_charge(manual.T, h)
         np.testing.assert_array_equal([row[2] for row in rec.rows], direct)
         assert all(row[3] == 0.0 for row in rec.rows)
 
@@ -215,15 +233,18 @@ class TestRunEnsemble:
     @pytest.mark.parametrize("J", [2, 9, 1000])
     def test_integrate_equals_column_zero_of_a_batch(self, J):
         # a lone trajectory and realization 0 of a three-column batch take
-        # the same steps bit for bit, on the Thomas (J <= 2) and LAPACK paths
+        # the steps of a plain loop along the path bit for bit, on the Thomas
+        # (J <= 2) and LAPACK paths
         cfg = _config(M=3, grid=GridSpec(J=J), tau=2.0 ** -10, T=2.0 ** -7)
         prop = make_propagator(cfg.grid, cfg.tau, cfg.params.alpha)
         psi0 = resolve_initial(cfg.grid, "sine")
-        path = generate_path(stream_noise(cfg), cfg.tau, cfg.n_steps, 0)
-        traj = integrate(psi0, prop, cfg.params, cfg.noise, path)
+        manual = _manual_states(cfg, prop, psi0)
+        _, states = integrate(psi0[:, None], prop, cfg.params,
+                              batch_forcing(cfg, cfg.tau, cfg.n_steps, range(1)), cfg.n_steps)
         batch = [psi[:, 0].copy() for _, psi, _ in _sweep(cfg, prop, psi0, 0, cfg.M)]
         assert len(batch) == cfg.n_steps + 1
-        np.testing.assert_array_equal(traj.states, np.array(batch))
+        np.testing.assert_array_equal(states[:, :, 0], manual)
+        np.testing.assert_array_equal(np.array(batch), manual)
 
 
 class TestChargeExperiment:
@@ -314,24 +335,23 @@ class TestMsError:
         # drive the coarse scheme by hand on block-summed increments of the
         # same realization stream and compare against the harness table;
         # both runs report R(tau/2) o Lie^N o R(-tau/2) at their own tau
-        from dsnls.integrator import nonlinear_step, step
-        from dsnls.noise import forcing_weights
+        from dsnls.integrator import nonlinear_step
 
         cfg = self._cfg(M=1, tau_ladder=(2.0 ** -7,))
         grid, params, noise = cfg.grid, cfg.params, cfg.noise
         lam = params.lam
         n_fine = cfg.n_steps
-        path = generate_path(noise, cfg.tau_ref, n_fine, 0)
+        fine_increments = generate_path(noise, cfg.tau_ref, n_fine, 0)
         weights = forcing_weights(grid, noise, params.epsilon)
         psi0 = resolve_initial(grid, "sine")
 
         prop_f = make_propagator(grid, cfg.tau_ref, params.alpha)
         fine = nonlinear_step(psi0, -lam, cfg.tau_ref / 2)
         for n in range(n_fine):
-            fine = step(fine, prop_f, params, weights @ path.increments[n])
+            fine = step(fine, prop_f, params, weights @ fine_increments[n])
         fine = nonlinear_step(fine, lam, cfg.tau_ref / 2)
 
-        coarse_increments = path.increments.reshape(n_fine // 4, 4, noise.P).sum(axis=1)
+        coarse_increments = fine_increments.reshape(n_fine // 4, 4, noise.P).sum(axis=1)
         tau_c = 2.0 ** -7
         prop_c = make_propagator(grid, tau_c, params.alpha)
         coarse = nonlinear_step(psi0, -lam, tau_c / 2)
@@ -368,7 +388,7 @@ class TestIndependentReference:
         # that shares no code with the scheme
         from scipy.integrate import solve_ivp
 
-        from dsnls.integrator import nonlinear_step, step
+        from dsnls.integrator import nonlinear_step
 
         grid = GridSpec(J=9)
         params = ModelParams(alpha=0.5, lam=1, epsilon=0.0)

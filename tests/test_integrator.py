@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from dsnls.integrator import (
     step,
 )
 from dsnls.model import ModelParams, NoiseSpec, make_grid, spectrum
-from dsnls.noise import fold_noise, forcing_weights, generate_path, project_forcing
+from dsnls.noise import forcing_blocks, forcing_weights, generate_path, project_forcing
 
 
 def _random_state(J, seed=0):
@@ -280,81 +282,74 @@ class TestIntegrate:
         prop = make_propagator(grid, 2.0 ** -6, params.alpha)
         return grid, params, noise, prop
 
+    @staticmethod
+    def _stream(grid, params, noise, prop, n_steps, realization):
+        # one realization's forcing rows, as the ensemble driver draws them
+        weights = forcing_weights(grid, noise, params.epsilon)
+        return itertools.chain.from_iterable(
+            forcing_blocks(weights, noise, prop.tau, n_steps, realization))
+
     def test_zero_steps(self):
         grid, params, noise, prop = self._base()
         psi0 = _random_state(6)
-        traj = integrate(psi0, prop, params, noise, None)
-        assert traj.states.shape == (1, 6)
-        np.testing.assert_array_equal(traj.states[0], psi0)
-        assert traj.times[0] == 0.0
-
-    def test_zero_steps_along_a_path(self):
-        grid, params, noise, prop = self._base()
-        psi0 = _random_state(6)
-        path = generate_path(noise, prop.tau, 5, 0)
-        traj = integrate(psi0, prop, params, noise, path, n_steps=0)
-        assert traj.states.shape == (1, 6)
-        np.testing.assert_array_equal(traj.states[0], psi0)
+        steps, states = integrate(psi0, prop, params, iter(()), 0)
+        assert states.shape == (1, 6)
+        np.testing.assert_array_equal(states[0], psi0)
+        assert steps.tolist() == [0]
 
     def test_truncated_long_path_matches_manual_loop(self):
         # more steps than one forcing block, and fewer than the path holds
         grid, params, noise, prop = self._base(seed=5)
         psi0 = _random_state(6, seed=7)
-        path = generate_path(noise, prop.tau, 700, 1)
-        g_all = project_forcing(path.increments, forcing_weights(grid, noise, params.epsilon))
+        g_all = project_forcing(generate_path(noise, prop.tau, 700, 1),
+                                forcing_weights(grid, noise, params.epsilon))
         psi = psi0.copy()
         for n in range(600):
             psi = step(psi, prop, params, g_all[n])
-        traj = integrate(psi0, prop, params, noise, path, n_steps=600, record_stride=300)
-        np.testing.assert_array_equal(traj.step_indices, [0, 300, 600])
-        np.testing.assert_array_equal(traj.states[-1], psi)
+        steps, states = integrate(psi0, prop, params,
+                                  self._stream(grid, params, noise, prop, 600, 1), 600,
+                                  record_stride=300)
+        np.testing.assert_array_equal(steps, [0, 300, 600])
+        np.testing.assert_array_equal(states[-1], psi)
 
     def test_deterministic_charge_decay(self):
         grid, params, noise, prop = self._base(eps=0.0)
         psi0 = _random_state(6, seed=1)
-        traj = integrate(psi0, prop, params, noise, None, n_steps=200, record_stride=1)
-        charges = (np.abs(traj.states) ** 2).sum(axis=1) * grid.h
+        _, states = integrate(psi0, prop, params, itertools.repeat(None), 200)
+        charges = (np.abs(states) ** 2).sum(axis=1) * grid.h
         assert np.all(np.diff(charges) <= 0.0)
 
     def test_bit_identical_reruns(self):
         grid, params, noise, prop = self._base()
         psi0 = _random_state(6, seed=2)
-        path = generate_path(noise, prop.tau, 100, 0)
-        t1 = integrate(psi0, prop, params, noise, path)
-        t2 = integrate(psi0, prop, params, noise, path)
-        assert np.array_equal(t1.states, t2.states)
+        _, s1 = integrate(psi0, prop, params, self._stream(grid, params, noise, prop, 100, 0), 100)
+        _, s2 = integrate(psi0, prop, params, self._stream(grid, params, noise, prop, 100, 0), 100)
+        assert np.array_equal(s1, s2)
 
     def test_matches_manual_loop(self):
         grid, params, noise, prop = self._base(seed=4)
         psi0 = _random_state(6, seed=3)
-        path = generate_path(noise, prop.tau, 40, 2)
         weights = forcing_weights(grid, noise, params.epsilon)
-        g_all = project_forcing(path.increments, weights)
+        g_all = project_forcing(generate_path(noise, prop.tau, 40, 2), weights)
         psi = psi0.copy()
         for n in range(40):
             psi = step(psi, prop, params, g_all[n])
-        traj = integrate(psi0, prop, params, noise, path)
-        np.testing.assert_array_equal(traj.states[-1], psi)
-
-    def test_rejects_an_unfolded_path(self):
-        # J = 2 folds P = 4 modes to 2: the forcing is that of the folded spec
-        grid, params, noise, prop = self._base(J=2)
-        path = generate_path(noise, prop.tau, 5, 0)
-        with pytest.raises(ValueError, match="folds to 2"):
-            integrate(_random_state(2), prop, params, noise, path)
-        folded = generate_path(fold_noise(grid, noise), prop.tau, 5, 0)
-        assert integrate(_random_state(2), prop, params, noise, folded).states.shape == (6, 2)
+        _, states = integrate(psi0, prop, params, iter(g_all), 40)
+        np.testing.assert_array_equal(states[-1], psi)
 
     def test_record_stride(self):
+        # a (J, m) batch is recorded whole, one realization per column
         grid, params, noise, prop = self._base(eps=0.0)
-        traj = integrate(_random_state(6), prop, params, noise, None,
-                         n_steps=10, record_stride=4)
-        np.testing.assert_array_equal(traj.step_indices, [0, 4, 8, 10])
+        psi0 = np.stack([_random_state(6, seed=s) for s in (1, 2)], axis=1)
+        steps, states = integrate(psi0, prop, params, itertools.repeat(None), 10,
+                                  record_stride=4)
+        np.testing.assert_array_equal(steps, [0, 4, 8, 10])
+        assert states.shape == (4, 6, 2)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blowup_raises_with_step_index(self):
         grid, params, noise, prop = self._base(eps=0.0)
         psi0 = np.full(6, 1e200 + 0j)  # |psi|^2 overflows inside the rotation
         with pytest.raises(BlowUpError) as err:
-            integrate(psi0, prop, params, noise, None, n_steps=5)
+            integrate(psi0, prop, params, itertools.repeat(None), 5)
         assert err.value.step_index == 1

@@ -35,12 +35,13 @@ class TestGeneration:
     def test_bit_for_bit_determinism(self):
         a = generate_path(_spec(), 0.01, 64, realization=7)
         b = generate_path(_spec(), 0.01, 64, realization=7)
-        assert np.array_equal(a.increments, b.increments)
+        assert a.shape == (64, 4)
+        assert np.array_equal(a, b)
 
     def test_realizations_differ(self):
         a = generate_path(_spec(), 0.01, 16, 0)
         b = generate_path(_spec(), 0.01, 16, 1)
-        assert not np.array_equal(a.increments, b.increments)
+        assert not np.array_equal(a, b)
 
     def test_stream_key_mixing(self):
         keys = {stream_key(42, r) for r in range(1000)}
@@ -51,32 +52,49 @@ class TestGeneration:
     def test_component_mean_within_4se(self):
         tau = 0.02
         n = 100_000
-        path = generate_path(_spec(P=1), tau, n, 0)
+        dbeta = generate_path(_spec(P=1), tau, n, 0)
         se = np.sqrt(tau / n)
-        assert abs(path.increments.real.mean()) <= 4 * se
-        assert abs(path.increments.imag.mean()) <= 4 * se
+        assert abs(dbeta.real.mean()) <= 4 * se
+        assert abs(dbeta.imag.mean()) <= 4 * se
 
     def test_second_moment_within_4se(self):
         tau = 0.02
         n = 100_000
-        path = generate_path(_spec(P=1), tau, n, 3)
-        sq = np.abs(path.increments[:, 0]) ** 2
+        dbeta = generate_path(_spec(P=1), tau, n, 3)
+        sq = np.abs(dbeta[:, 0]) ** 2
         se = sq.std(ddof=1) / np.sqrt(n)
         assert abs(sq.mean() - 2.0 * tau) <= 4 * se
 
     def test_gaussianity_ks(self):
         # documented goodness-of-fit check: KS against N(0, tau) at the 1e-3 level
         tau = 0.5
-        path = generate_path(_spec(P=1), tau, 100_000, 11)
-        for comp in (path.increments.real.ravel(), path.increments.imag.ravel()):
+        dbeta = generate_path(_spec(P=1), tau, 100_000, 11)
+        for comp in (dbeta.real.ravel(), dbeta.imag.ravel()):
             p = stats.kstest(comp / np.sqrt(tau), "norm").pvalue
             assert p > 1e-3
 
     def test_block_streaming_matches_path(self):
         spec = _spec(P=3, seed=9)
-        path = generate_path(spec, 0.125, 100, 5)
-        blocks = list(increment_blocks(spec, 0.125, 100, 5, block_size=17))
-        assert np.array_equal(np.concatenate(blocks), path.increments)
+        dbeta = generate_path(spec, 0.125, 600, 5)
+        for size in (17, 256):
+            blocks = list(increment_blocks(spec, 0.125, 600, 5, block_size=size))
+            assert np.array_equal(np.concatenate(blocks), dbeta)
+
+    def test_streams_open_when_built(self, monkeypatch):
+        # the stream (and numpy.random with it) is opened by the call that
+        # builds the iterator, not by its first draw
+        opened = []
+        stream = dsnls.noise._stream
+
+        def counted(noise, realization):
+            opened.append(realization)
+            return stream(noise, realization)
+
+        monkeypatch.setattr(dsnls.noise, "_stream", counted)
+        spec = _spec(P=3)
+        blocks = forcing_blocks(forcing_weights(make_grid(4), spec, 1.0), spec, 0.125, 10, 5)
+        assert opened == [5]
+        assert next(blocks).shape == (10, 4)
 
 
 class TestCoarsen:
@@ -87,7 +105,7 @@ class TestCoarsen:
         # ratio 1: the coarse run is fed the fine forcing itself, bit for bit
         spec = _spec(P=3)
         weights = forcing_weights(make_grid(4), spec, 1.0)
-        g = project_forcing(generate_path(spec, 0.01, 12, 0).increments, weights)
+        g = project_forcing(generate_path(spec, 0.01, 12, 0), weights)
         assert np.array_equal(g.reshape(12, 1, 4).sum(axis=1), g)
 
     def test_total_sum(self):
@@ -95,9 +113,9 @@ class TestCoarsen:
         # projecting the summed increments
         spec = _spec(P=3)
         weights = forcing_weights(make_grid(4), spec, 1.0)
-        path = generate_path(spec, 0.01, 12, 0)
-        g = np.concatenate(list(forcing_blocks(weights, spec, 0.01, 12, 0, block_size=5)))
-        np.testing.assert_allclose(g.sum(axis=0), weights @ path.increments.sum(axis=0),
+        dbeta = generate_path(spec, 0.01, 12, 0)
+        g = np.concatenate(list(forcing_blocks(weights, spec, 0.01, 12, 0)))
+        np.testing.assert_allclose(g.sum(axis=0), weights @ dbeta.sum(axis=0),
                                    rtol=0, atol=1e-15)
 
 
@@ -125,8 +143,8 @@ class TestForcing:
             for k in range(3):
                 e_k = np.sqrt(2.0) * np.sin((k + 1) * np.pi * grid.nodes[j])
                 target += 2.0 * tau * eps ** 2 * spec.eta[k] * e_k ** 2
-        path = generate_path(spec, tau, n, 0)
-        g = forcing_weights(grid, spec, eps) @ path.increments.T
+        dbeta = generate_path(spec, tau, n, 0)
+        g = forcing_weights(grid, spec, eps) @ dbeta.T
         sq = (np.abs(g) ** 2).sum(axis=0)
         se = sq.std(ddof=1) / np.sqrt(n)
         assert abs(sq.mean() - target) <= 4 * se
@@ -135,9 +153,10 @@ class TestForcing:
         grid = make_grid(4)
         spec = _spec(P=3, seed=5)
         weights = forcing_weights(grid, spec, 0.9)
-        path = generate_path(spec, 0.25, 50, 6)
-        blocks = np.concatenate(list(forcing_blocks(weights, spec, 0.25, 50, 6, block_size=16)))
-        np.testing.assert_array_equal(blocks, path.increments @ weights.T)
+        dbeta = generate_path(spec, 0.25, 600, 6)
+        blocks = list(forcing_blocks(weights, spec, 0.25, 600, 6))
+        assert [len(b) for b in blocks] == [256, 256, 88]
+        np.testing.assert_array_equal(np.concatenate(blocks), dbeta @ weights.T)
 
     def test_suspended_generators_hold_no_block(self):
         # a suspended stream must not keep its last normals and increment
@@ -186,8 +205,8 @@ class TestFold:
         assert folded == spec
         assert np.array_equal(forcing_weights(grid, folded, 1.0),
                               forcing_weights(grid, spec, 1.0))
-        assert np.array_equal(generate_path(folded, 0.01, 300, 2).increments,
-                              generate_path(spec, 0.01, 300, 2).increments)
+        assert np.array_equal(generate_path(folded, 0.01, 300, 2),
+                              generate_path(spec, 0.01, 300, 2))
 
     def test_folding_twice_is_folding_once(self):
         grid = make_grid(3)
