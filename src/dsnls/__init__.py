@@ -1,6 +1,39 @@
 """Structure-preserving splitting scheme for the damped stochastic cubic
 Schrödinger equation, with diagnostics and Monte Carlo experiments."""
 
+import os as _os
+import sys as _sys
+
+#: The variables OpenBLAS reads its thread count from, in the order it reads them.
+_OPENBLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+#: The thread variables the manifest records: OpenBLAS's and MKL's.
+_THREAD_VARS = (*_OPENBLAS_VARS, "MKL_NUM_THREADS")
+
+
+def _pin_blas_threads() -> str:
+    """Start OpenBLAS with one thread unless the user chose a count; return
+    the manifest's `blas_threads` line, which says who set each variable.
+
+    numpy and scipy each bundle an OpenBLAS that reads the thread variables
+    once, when it loads, and by default starts a busy-waiting worker thread
+    for each further core.  dsnls's only parallelism is its fork pool of
+    chunks, whose workers inherit this setting, and no thread count changes a
+    CSV byte.  Once numpy has loaded, a variable set here would no longer take
+    effect, so none is set and the line says the values were found after.
+    """
+    found = {k: _os.environ[k] for k in _THREAD_VARS if k in _os.environ}
+    tags = dict.fromkeys(found, " (user)")
+    if "numpy" in _sys.modules:
+        tags = dict.fromkeys(found, " (found after numpy loaded)")
+    elif not found.keys() & set(_OPENBLAS_VARS):
+        _os.environ["OPENBLAS_NUM_THREADS"] = found["OPENBLAS_NUM_THREADS"] = "1"
+        tags["OPENBLAS_NUM_THREADS"] = " (dsnls default)"
+    return ", ".join(f"{k}={found[k]}{tags[k]}" if k in found else f"{k}=unset"
+                     for k in _THREAD_VARS)
+
+
+_BLAS_THREADS = _pin_blas_threads()
+
 __version__ = "0.1.0"
 
 from .model import (

@@ -7,7 +7,8 @@ directory.  Every run writes the statistics tables as CSV plus one plain-text
 manifest; re-running the same config and seed reproduces the CSV bytes.
 
 Exit codes: 0 success, 2 config/usage error, 3 numerical blow-up,
-4 diagnose-mode check failure, 5 I/O error.
+4 diagnose-mode check failure, 5 I/O error.  A blow-up still writes a partial
+manifest that names the step and the realization that failed.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import csv
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from .config import ConfigError, parse_config, serialize_config
@@ -128,6 +130,22 @@ def _emit(out: Path, manifest: dict, config_text: str | None, command: str, over
     _write_manifest(out / "manifest.txt", manifest, config_text, command, overrides)
 
 
+@contextmanager
+def _manifest_on_blowup(out: Path, config, command: str, overrides):
+    """Let a `BlowUpError` through to its exit code, after writing a partial
+    manifest: the provenance and config lines, `status = blow-up` and the
+    step and realization that failed."""
+    try:
+        yield
+    except BlowUpError as exc:
+        manifest = {**base_manifest(config), "status": "blow-up",
+                    "failed_step": str(exc.step_index),
+                    "failed_realization": str(exc.realization)}
+        _write_manifest(out / "manifest.txt", manifest, serialize_config(config), command,
+                        overrides)
+        raise
+
+
 def _cmd_experiment(args, command: str) -> int:
     config = _load_config(args)
     if config.kind != command:
@@ -135,14 +153,15 @@ def _cmd_experiment(args, command: str) -> int:
             f"config kind '{config.kind}' does not match subcommand '{command}' "
             f"(use --set kind={command} to retarget)")
     out = _out_dir(args)
-    if command == "charge":
-        record = charge_experiment(config, chunk_size=args.chunk_size)
-    elif command == "ergodic":
-        record = ergodic_experiment(config, chunk_size=args.chunk_size)
-    elif command in ("error", "order"):
-        record = ms_error(config, chunk_size=args.chunk_size)
-    else:
-        raise ConfigError(f"unhandled experiment subcommand {command!r}")
+    with _manifest_on_blowup(out, config, command, args.set or []):
+        if command == "charge":
+            record = charge_experiment(config, chunk_size=args.chunk_size)
+        elif command == "ergodic":
+            record = ergodic_experiment(config, chunk_size=args.chunk_size)
+        elif command in ("error", "order"):
+            record = ms_error(config, chunk_size=args.chunk_size)
+        else:
+            raise ConfigError(f"unhandled experiment subcommand {command!r}")
     tables = [(_write_csv, f"{command}.csv", record.columns, record.rows)]
     if command == "order":
         fit = order_fit([(tau, err) for tau, _, err, _ in record.rows])
@@ -166,8 +185,9 @@ def _cmd_simulate(args) -> int:
     prop = make_propagator(config.grid, config.tau, config.params.alpha)
     # realization 0 of the ensemble, stepped as a batch of one column
     forcing = batch_forcing(config, config.tau, config.n_steps, range(1))
-    steps, states = integrate(psi0[:, None], prop, config.params, forcing, config.n_steps,
-                              config.record_stride)
+    with _manifest_on_blowup(out, config, "simulate", args.set or []):
+        steps, states = integrate(psi0[:, None], prop, config.params, forcing, config.n_steps,
+                                  config.record_stride)
     wall = time.perf_counter() - t0
     manifest = base_manifest(config)
     manifest["wall_time_s"] = f"{wall:.3f}"

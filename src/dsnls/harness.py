@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy
 
-from . import __version__
+from . import _BLAS_THREADS, __version__
 from .diagnostics import charge_limit_discrete, discrete_charge
 from .integrator import column_norm2, make_propagator, march, nonlinear_step, step
 from .model import (
@@ -70,9 +70,6 @@ __all__ = [
 
 CSV_SCHEMA_VERSION = "1"
 
-#: The BLAS thread variables the manifest records as found.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
 
 def _library(config: dict, kind: str) -> str:
     """'name version' of a numpy or scipy build's BLAS or LAPACK."""
@@ -82,7 +79,8 @@ def _library(config: dict, kind: str) -> str:
 
 #: The lines every manifest opens with.  CSV bytes are reproducible per
 #: toolchain: the forcing product runs on numpy's BLAS and the linear solve on
-#: scipy's LAPACK, which may be different builds, so both are named.
+#: scipy's LAPACK, which may be different builds, so both are named.  The
+#: thread variables are those the BLAS libraries read, and who set them.
 PROVENANCE = {
     "schema": CSV_SCHEMA_VERSION,
     "version": __version__,
@@ -92,7 +90,7 @@ PROVENANCE = {
     "numpy_blas": _library(np.__config__.CONFIG, "blas"),
     "scipy": scipy.__version__,
     "scipy_lapack": _library(scipy.__config__.CONFIG, "lapack"),
-    "blas_threads": ", ".join(f"{k}={os.environ.get(k, 'unset')}" for k in _BLAS_THREAD_VARS),
+    "blas_threads": _BLAS_THREADS,
 }
 
 EXPERIMENT_KINDS = ("simulate", "charge", "ergodic", "error", "order")

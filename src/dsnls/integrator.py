@@ -149,22 +149,19 @@ class LinearPropagator:
     L₋ = I - i τ/(2h²) A + (ατ/4) I is strictly diagonally dominant for
     ατ >= 0, so the one-time factorization is never singular.  `_factors`
     holds the `zgttrf` output (dl, d, du, du2, ipiv), or the Thomas
-    (mult, piv) when J <= 2.
+    (mult, piv) when J <= 2.  `damping_factor` is the per-substep amplitude
+    factor e^{-ατ/2}, computed once by `make_propagator`.
     """
 
     grid: GridSpec
     tau: float
     alpha: float
+    damping_factor: float
     _diag_minus: complex = field(repr=False, default=0j)
     _off_minus: complex = field(repr=False, default=0j)
     _diag_plus: complex = field(repr=False, default=0j)
     _off_plus: complex = field(repr=False, default=0j)
     _factors: tuple = field(repr=False, default=())
-
-    @property
-    def damping_factor(self) -> float:
-        """Per-substep amplitude factor e^{-ατ/2}."""
-        return float(np.exp(-0.5 * self.alpha * self.tau))
 
     def apply_plus(self, x: np.ndarray) -> np.ndarray:
         """L₊ x = (I + i τ/(2h²) A - (ατ/4) I) x with Dirichlet ends."""
@@ -216,7 +213,7 @@ def make_propagator(grid: GridSpec, tau: float, alpha: float) -> LinearPropagato
         if info != 0:
             raise NumericalError(f"L- is singular (zgttrf info {info})")
     return LinearPropagator(
-        grid=grid, tau=tau, alpha=alpha,
+        grid=grid, tau=tau, alpha=alpha, damping_factor=float(np.exp(-0.5 * alpha * tau)),
         _diag_minus=diag_minus, _off_minus=off_minus,
         _diag_plus=diag_plus, _off_plus=off_plus,
         _factors=tuple(factors),

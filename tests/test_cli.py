@@ -59,9 +59,9 @@ PROVENANCE_LINES = (
     f"numpy_blas = {_library(numpy.show_config(mode='dicts')['Build Dependencies']['blas'])}",
     f"scipy = {scipy.__version__}",
     f"scipy_lapack = {_library(scipy.show_config(mode='dicts')['Build Dependencies']['lapack'])}",
-    "blas_threads = " + ", ".join(
-        f"{k}={os.environ.get(k, 'unset')}"
-        for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")),
+    # what this process's import of dsnls found and set; test_blas_thread_policy
+    # checks the line's wording in fresh interpreters
+    f"blas_threads = {dsnls._BLAS_THREADS}",
 )
 
 TINY_CHARGE = """\
@@ -243,7 +243,10 @@ class TestCliRuns:
         cfg.write_text(TINY_CHARGE.replace(
             "record_stride = 4",
             "record_stride = 4\ninitial = explicit: 1e200+0j, 0, 0, 0"))
-        assert run(["charge", "--config", str(cfg), "--out", str(tmp_path / "x")]) == EXIT_BLOWUP
+        for command in ("charge", "simulate"):
+            argv = [command, "--config", str(cfg), "--set", f"kind={command}"]
+            assert run([*argv, "--out", str(tmp_path / command)]) == EXIT_BLOWUP
+            _assert_blowup_manifest(tmp_path / command, command, step=1, realization=0)
 
     def test_simulate_writes_trajectory(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
@@ -558,34 +561,90 @@ def test_python_m_dsnls_runs_the_cli():
     assert "fig1b" in proc.stdout
 
 
-def test_charge_bytes_independent_of_blas_threads(tmp_path):
-    # the forcing product is a BLAS call; its thread count must not move a bit
+def _bytes_at_default_and_two_blas_threads(argv, table, tmp_path):
+    """`table`'s bytes from `python -m dsnls *argv` run with no BLAS thread
+    variable set, so on dsnls's one thread, and with OPENBLAS_NUM_THREADS=2."""
     src = str(Path(dsnls.__file__).resolve().parents[1])
     outputs = []
-    for threads in ("1", None):
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "GOTO_NUM_THREADS")}
+    for threads in (None, "2"):
+        env = {k: v for k, v in os.environ.items() if k not in dsnls._THREAD_VARS}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         if threads is not None:
             env["OPENBLAS_NUM_THREADS"] = threads
         out = tmp_path / f"threads-{threads or 'default'}"
-        proc = subprocess.run(
-            [sys.executable, "-m", "dsnls", "charge", "--preset", "fig1b", "--set", "M=40",
-             "--set", "T=2", "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=300)
+        proc = subprocess.run([sys.executable, "-m", "dsnls", *argv, "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        outputs.append((out / "charge.csv").read_bytes())
-    assert outputs[0] == outputs[1]
+        outputs.append((out / table).read_bytes())
+    return outputs
 
 
-def _python_c(code: str) -> str:
-    env = dict(os.environ)
+def test_charge_bytes_independent_of_blas_threads(tmp_path):
+    # the forcing product is a BLAS call; its thread count must not move a bit
+    default, two = _bytes_at_default_and_two_blas_threads(
+        ["charge", "--preset", "fig1b", "--set", "M=40", "--set", "T=2"], "charge.csv", tmp_path)
+    assert default == two
+
+
+def test_j1000_simulate_bytes_independent_of_blas_threads(tmp_path):
+    # at J >= P the forcing product is a (32, 100) x (100, 1000) zgemm, large
+    # enough for OpenBLAS to split across its threads
+    default, two = _bytes_at_default_and_two_blas_threads(
+        ["simulate", "--preset", "fig1b", "--set", "kind=simulate", "--set", "J=1000",
+         "--set", "tau=2^-10", "--set", "T=2^-5"], "trajectory.csv", tmp_path)
+    assert default == two
+
+
+def _python_c(code: str, env: dict | None = None) -> str:
+    """stdout of a fresh `python -c code` that can import dsnls, with each
+    variable of `env` set to its value, or removed where the value is None."""
+    full_env = dict(os.environ)
     src = str(Path(dsnls.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    full_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, full_env.get("PYTHONPATH")]))
+    for key, value in (env or {}).items():
+        if value is None:
+            full_env.pop(key, None)
+        else:
+            full_env[key] = value
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=60)
+                          env=full_env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no /proc/self/task")
+def test_blas_thread_policy():
+    # `import dsnls.cli` loads both bundled OpenBLAS copies, numpy's and the
+    # one behind scipy's _flapack; unpinned, each starts its worker threads
+    report = ("import os, sys\n"
+              "before = dict(os.environ)\n"
+              "{imports}\n"
+              "assert 'scipy.linalg._flapack' in sys.modules\n"
+              "print(len(os.listdir('/proc/self/task')))\n"
+              "print(sorted(k for k in os.environ.keys() | before\n"
+              "             if os.environ.get(k) != before.get(k)))\n"
+              "print(dsnls.harness.PROVENANCE['blas_threads'])")
+    unset = dict.fromkeys(dsnls._THREAD_VARS)
+    assert _python_c(report.format(imports="import dsnls.cli"), unset).splitlines() == [
+        "1", "['OPENBLAS_NUM_THREADS']",
+        "OPENBLAS_NUM_THREADS=1 (dsnls default), GOTO_NUM_THREADS=unset, "
+        "OMP_NUM_THREADS=unset, MKL_NUM_THREADS=unset"]
+    for user in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        threads, changed, line = _python_c(report.format(imports="import dsnls.cli"),
+                                           {**unset, user: "2"}).splitlines()
+        assert changed == "[]"
+        assert f"{user}=2 (user)" in line and "dsnls default" not in line
+        if len(os.sched_getaffinity(0)) > 1:
+            assert int(threads) > 1
+    # numpy loaded first has read the variables already: dsnls sets none and
+    # claims none took effect
+    for value, first in ((None, "OPENBLAS_NUM_THREADS=unset"),
+                         ("2", "OPENBLAS_NUM_THREADS=2 (found after numpy loaded)")):
+        threads, changed, line = _python_c(report.format(imports="import numpy, dsnls.cli"),
+                                           {**unset, "OPENBLAS_NUM_THREADS": value}).splitlines()
+        assert changed == "[]"
+        assert line == (f"{first}, GOTO_NUM_THREADS=unset, OMP_NUM_THREADS=unset, "
+                        "MKL_NUM_THREADS=unset")
 
 
 def test_cli_import_leaves_scipy_special_unloaded():
@@ -656,6 +715,19 @@ def test_blowup_in_a_worker_names_the_serial_step(tmp_path, capsys, pin_cpus):
         assert capsys.readouterr().err == (
             "numerical blow-up: non-finite state after step 1452 (realization 0)\n")
         assert multiprocessing.active_children() == []
+        _assert_blowup_manifest(tmp_path / f"cpus{cpus}", "charge", step=1452, realization=0)
+
+
+def _assert_blowup_manifest(out, command, step, realization):
+    """A blow-up leaves a partial manifest: provenance, the failure and the config echo."""
+    manifest = (out / "manifest.txt").read_text()
+    assert manifest.startswith(f"command = {command}\n")
+    for line in (*PROVENANCE_LINES, "status = blow-up", f"failed_step = {step}",
+                 f"failed_realization = {realization}", "# config echo",
+                 f"| kind = {command}"):
+        assert f"\n{line}\n" in manifest, line
+    assert "write_s" not in manifest
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.txt"]
 
 
 class TestErgodicCli:
