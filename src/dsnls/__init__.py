@@ -10,29 +10,34 @@ _OPENBLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 _THREAD_VARS = (*_OPENBLAS_VARS, "MKL_NUM_THREADS")
 
 
-def _pin_blas_threads() -> str:
+def _pin_blas_threads() -> tuple:
     """Start OpenBLAS with one thread unless the user chose a count; return
-    the manifest's `blas_threads` line, which says who set each variable.
+    the manifest's `blas_threads` line, which says who set each variable,
+    and whether OPENBLAS_NUM_THREADS was set here.
 
     numpy and scipy each bundle an OpenBLAS that reads the thread variables
     once, when it loads, and by default starts a busy-waiting worker thread
-    for each further core.  dsnls's only parallelism is its fork pool of
-    chunks, whose workers inherit this setting, and no thread count changes a
-    CSV byte.  Once numpy has loaded, a variable set here would no longer take
-    effect, so none is set and the line says the values were found after.
+    for each further core.  dsnls's parallelism is its fork pool of chunks
+    and its forked noise producer, which inherit this setting, and no thread
+    count changes a CSV byte.  Once numpy has loaded, a variable set here
+    would no longer take effect, so none is set and the line says the values
+    were found after.
     """
     found = {k: _os.environ[k] for k in _THREAD_VARS if k in _os.environ}
     tags = dict.fromkeys(found, " (user)")
+    pinned = False
     if "numpy" in _sys.modules:
         tags = dict.fromkeys(found, " (found after numpy loaded)")
     elif not found.keys() & set(_OPENBLAS_VARS):
         _os.environ["OPENBLAS_NUM_THREADS"] = found["OPENBLAS_NUM_THREADS"] = "1"
         tags["OPENBLAS_NUM_THREADS"] = " (dsnls default)"
-    return ", ".join(f"{k}={found[k]}{tags[k]}" if k in found else f"{k}=unset"
+        pinned = True
+    line = ", ".join(f"{k}={found[k]}{tags[k]}" if k in found else f"{k}=unset"
                      for k in _THREAD_VARS)
+    return line, pinned
 
 
-_BLAS_THREADS = _pin_blas_threads()
+_BLAS_THREADS, _PINNED_HERE = _pin_blas_threads()
 
 __version__ = "0.1.0"
 
@@ -85,3 +90,10 @@ from .harness import (
 )
 from .config import ConfigError, parse_config, serialize_config
 from .presets import preset_config
+
+# Both OpenBLAS copies have read the thread variables by now: numpy's, and
+# the one behind scipy's _flapack, which .integrator loaded.  Put the
+# environment back as it was found, so that the programs this process
+# starts inherit no pin and make their own choice.
+if _PINNED_HERE:
+    del _os.environ["OPENBLAS_NUM_THREADS"]

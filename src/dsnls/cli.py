@@ -8,7 +8,8 @@ manifest; re-running the same config and seed reproduces the CSV bytes.
 
 Exit codes: 0 success, 2 config/usage error, 3 numerical blow-up,
 4 diagnose-mode check failure, 5 I/O error.  A blow-up still writes a partial
-manifest that names the step and the realization that failed.
+manifest that names the step and the realization that failed, and the norm
+of that realization's last finite state.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .harness import (
     charge_experiment,
     ergodic_experiment,
     ms_error,
+    noise_lines,
     order_fit,
     resolve_initial,
 )
@@ -133,14 +135,16 @@ def _emit(out: Path, manifest: dict, config_text: str | None, command: str, over
 @contextmanager
 def _manifest_on_blowup(out: Path, config, command: str, overrides):
     """Let a `BlowUpError` through to its exit code, after writing a partial
-    manifest: the provenance and config lines, `status = blow-up` and the
-    step and realization that failed."""
+    manifest: the provenance and config lines, `status = blow-up`, the
+    step and realization that failed and that realization's last finite
+    norm ‖Ψⁿ⁻¹‖."""
     try:
         yield
     except BlowUpError as exc:
         manifest = {**base_manifest(config), "status": "blow-up",
                     "failed_step": str(exc.step_index),
-                    "failed_realization": str(exc.realization)}
+                    "failed_realization": str(exc.realization),
+                    "last_finite_norm": repr(exc.last_finite_norm)}
         _write_manifest(out / "manifest.txt", manifest, serialize_config(config), command,
                         overrides)
         raise
@@ -183,15 +187,17 @@ def _cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     psi0 = resolve_initial(config.grid, config.initial)
     prop = make_propagator(config.grid, config.tau, config.params.alpha)
-    # realization 0 of the ensemble, stepped as a batch of one column
-    forcing = batch_forcing(config, config.tau, config.n_steps, range(1))
-    with _manifest_on_blowup(out, config, "simulate", args.set or []):
+    # realization 0 of the ensemble, stepped as a batch of one column; the
+    # run's only task, so its noise may be drawn on a second CPU
+    with (_manifest_on_blowup(out, config, "simulate", args.set or []),
+          batch_forcing(config, config.tau, config.n_steps, range(1), alone=True) as forcing):
         steps, states = integrate(psi0[:, None], prop, config.params, forcing, config.n_steps,
                                   config.record_stride)
     wall = time.perf_counter() - t0
     manifest = base_manifest(config)
     manifest["wall_time_s"] = f"{wall:.3f}"
     manifest["realization_steps_per_s"] = f"{config.n_steps / wall:.0f}"
+    manifest.update(noise_lines([forcing.timers()]))
     _emit(out, manifest, serialize_config(config), "simulate", args.set or [],
           (_write_trajectory, "trajectory.csv", steps, config.tau, states[:, :, 0]))
     print(f"wrote {out}")

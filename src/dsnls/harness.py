@@ -6,13 +6,16 @@ affects the numbers.  Re-running a config reproduces the table bit-for-bit.
 
 Every ensemble splits its realizations into chunks, at most `MAX_CHUNK`
 (256) a chunk by default, and `_map_chunks` runs each experiment's per-chunk
-function (config, lo, hi) on them: in a fork pool on the usable CPUs when
-there is more than one chunk and more than one CPU (`taskset -c 0` gives
-one), in this process otherwise.  The per-chunk functions drive one chunk
-each through `_sweep`, which starts every column from Ψ⁰, feeds column i
-from realization i's own counter-based noise stream and steps the batch with
-`march`, handing each state Ψⁿ, with the forcing gⁿ that produced it, to
-the experiment, and each returns its rows of the per-realization table.
+function (config, forcing) on them, `forcing` being the chunk's
+`batch_forcing` source: in a fork pool on the usable CPUs when there is more
+than one chunk and more than one CPU (`taskset -c 0` gives one), in this
+process otherwise.  A lone chunk on two or more CPUs has its noise drawn in
+a forked producer process on the CPU the chunk leaves idle.  The per-chunk
+functions drive one chunk each through `_sweep`, which starts every column
+from Ψ⁰, feeds column i from realization i's own counter-based noise stream
+and steps the batch with `march`, handing each state Ψⁿ, with the forcing gⁿ
+that produced it, to the experiment, and each returns its rows of the
+per-realization table.
 Columns never mix and node sums run in node order (`column_norm2`), and the
 rows are concatenated in chunk order and reduced in realization-index
 order, so the aggregate is a pure function of (config, base seed): neither
@@ -25,8 +28,11 @@ feeding it the block-sums of the gⁿ the reference consumed.
 from __future__ import annotations
 
 import itertools
+import mmap
 import os
 import platform
+import struct
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -61,6 +67,8 @@ __all__ = [
     "resolve_initial",
     "stream_noise",
     "batch_forcing",
+    "ForcingSource",
+    "noise_lines",
     "charge_experiment",
     "ergodic_experiment",
     "ms_error",
@@ -292,23 +300,30 @@ def _chunks(total: int, chunk_size):
 
 
 def _run_chunk(task):
-    fn, config, lo, hi = task
-    return fn(config, lo, hi)
+    """(fn's rows, the noise timers) of one chunk: fn(config, forcing) on the
+    chunk's forcing source, which is closed however fn ends.  Every sweep
+    steps config.tau, since an error study's tau equals its tau_ref."""
+    fn, config, lo, hi, alone = task
+    with batch_forcing(config, config.tau, config.n_steps, range(lo, hi), alone) as forcing:
+        rows = fn(config, forcing)
+    return rows, forcing.timers()
 
 
 def _map_chunks(fn, configs, chunk_size):
-    """[fn(config, lo, hi) for each config, for each of its chunks], and the
-    manifest lines saying how they ran.
+    """[fn(config, forcing) for each config, for each of its chunks], and the
+    manifest lines saying how they ran, the noise lines summed over chunks.
 
     With more than one chunk and more than one usable CPU the chunks run in
     a fork pool of min(CPUs, chunks) workers; otherwise they run here, one
-    after another.  Results come back in chunk order (`Executor.map`), so a
-    `BlowUpError` names the step and realization a serial loop over the same
-    chunks would name.  A worker that dies raises `BrokenProcessPool`
-    where a `multiprocessing.Pool` would wait for it forever.
+    after another, and a lone chunk may draw its noise in a producer
+    process (`batch_forcing`).  Results come back in chunk order
+    (`Executor.map`), so a `BlowUpError` names the step and realization a
+    serial loop over the same chunks would name.  A worker that dies raises
+    `BrokenProcessPool` where a `multiprocessing.Pool` would wait for it
+    forever.
     """
-    tasks = [(fn, config, lo, hi) for config in configs
-             for lo, hi in _chunks(config.M, chunk_size)]
+    spans = [(config, lo, hi) for config in configs for lo, hi in _chunks(config.M, chunk_size)]
+    tasks = [(fn, config, lo, hi, len(spans) == 1) for config, lo, hi in spans]
     cpus = usable_cpus()
     workers = min(cpus, len(tasks))
     if workers > 1:
@@ -322,7 +337,9 @@ def _map_chunks(fn, configs, chunk_size):
             results = list(pool.map(_run_chunk, tasks))
     else:
         results = [_run_chunk(task) for task in tasks]
-    return results, {"cpus": str(cpus), "chunks": str(len(tasks)), "workers": str(workers)}
+    rows, timers = zip(*results)
+    return list(rows), {"cpus": str(cpus), "chunks": str(len(tasks)), "workers": str(workers),
+                        **noise_lines(timers)}
 
 
 def _ensemble_manifest(config: ExperimentConfig, t0: float, run_info: dict,
@@ -336,32 +353,207 @@ def _ensemble_manifest(config: ExperimentConfig, t0: float, run_info: dict,
     return manifest
 
 
-def batch_forcing(config: ExperimentConfig, tau: float, n_steps: int, realizations: range):
-    """Iterator of per-step (J, m) forcing for a batch of realizations, column
-    i fed from realization realizations[i]'s own stream of
-    `stream_noise(config)`; None at every step when ε = 0.
-
-    The streams are opened here; their blocks are drawn and projected as the
-    rows are taken.  Each stream is projected at fixed per-realization
-    shapes, so every column is bit-identical no matter how realizations are
-    grouped into batches.  A yielded row is a view of one reused block
-    buffer: it is valid only until the next row is drawn.
-    """
-    if not config.params.epsilon > 0.0:
-        return itertools.repeat(None, n_steps)
+def _open_streams(config: ExperimentConfig, tau: float, n_steps: int, realizations) -> list:
+    """Each realization's `forcing_blocks` stream of `stream_noise(config)`."""
     noise = stream_noise(config)
     weights = forcing_weights(config.grid, noise, config.params.epsilon)
-    streams = [forcing_blocks(weights, noise, tau, n_steps, r) for r in realizations]
-    buffer = np.empty((min(FORCING_BLOCK_STEPS, n_steps), config.grid.J, len(streams)),
-                      dtype=complex)
+    return [forcing_blocks(weights, noise, tau, n_steps, r) for r in realizations]
 
-    def rows():
-        for a in range(0, n_steps, FORCING_BLOCK_STEPS):
-            block = buffer[:min(FORCING_BLOCK_STEPS, n_steps - a)]
-            for i, s in enumerate(streams):
-                block[:, :, i] = next(s)
+
+def _fill(block: np.ndarray, streams) -> float:
+    """Draw and project every stream's next block into its column of `block`;
+    return the seconds it took."""
+    t0 = time.perf_counter()
+    for i, s in enumerate(streams):
+        block[:, :, i] = next(s)
+    return time.perf_counter() - t0
+
+
+def _produce(free: int, ready: int, config: ExperimentConfig, tau: float, n_steps: int,
+             realizations, block: np.ndarray, spans) -> None:
+    """The life of a producer process; it ends in `os._exit`.
+
+    It opens the streams, so numpy.random and the generator state live only
+    here, and says so with a one-byte token.  It fills each block privately,
+    waits for a "free" token, copies the block into the shared `block` and
+    answers with a "ready" token that carries the fill's seconds; so it
+    fills block k + 1 while the consumer marches block k.  It exits 0 after
+    the last block or at EOF on `free` (the consumer closed), and 1, with a
+    traceback, on any other error.
+    """
+    code = 1
+    try:
+        streams = _open_streams(config, tau, n_steps, realizations)
+        os.write(ready, b"s")
+        private = np.empty_like(block)
+        for rows in spans:
+            seconds = _fill(private[:rows], streams)
+            if not os.read(free, 1):
+                break
+            block[:rows] = private[:rows]
+            os.write(ready, struct.pack("d", seconds))
+        code = 0
+    except (BrokenPipeError, KeyboardInterrupt):
+        code = 0  # the consumer has gone, or the whole process group was interrupted
+    except BaseException:  # reported here: a forked child must never unwind into the caller
+        import traceback
+
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+class ForcingSource:
+    """The iterator `batch_forcing` returns, and the record of its noise work.
+
+    Close it, or leave its `with` block, on every exit: that closes the
+    pipes to its producer process, which then exits, and reaps it.
+    """
+
+    def __init__(self, config: ExperimentConfig, tau: float, n_steps: int, realizations,
+                 alone: bool):
+        self.realizations = realizations
+        self.producer = False
+        self.noise_s = self.noise_wait_s = 0.0
+        self.normals = 0
+        self._pid = self._free = self._ready = None
+        if not config.params.epsilon > 0.0:
+            self._rows = itertools.repeat(None, n_steps)
+            return
+        spans = [min(FORCING_BLOCK_STEPS, n_steps - a)
+                 for a in range(0, n_steps, FORCING_BLOCK_STEPS)]
+        shape = (spans[0] if spans else 0, config.grid.J, len(realizations))
+        self._normals_per_step = 2 * stream_noise(config).P * len(realizations)
+        if alone and len(spans) > 1 and usable_cpus() > 1:
+            # one block shared with the producer: the only block this process holds
+            shared = mmap.mmap(-1, np.dtype(complex).itemsize * shape[0] * shape[1] * shape[2])
+            block = np.frombuffer(shared, dtype=complex).reshape(shape)
+            self._fork(config, tau, n_steps, realizations, block, spans)
+            self._rows = self._rows_from_producer(block, spans)
+        else:
+            streams = _open_streams(config, tau, n_steps, realizations)
+            self._rows = self._rows_here(streams, np.empty(shape, dtype=complex), spans)
+
+    def _fork(self, config, tau, n_steps, realizations, block, spans) -> None:
+        free_r, free_w = os.pipe()
+        ready_r, ready_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (free_r, free_w, ready_r, ready_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            # the producer keeps no end the consumer reads EOF from
+            os.close(free_w)
+            os.close(ready_r)
+            _produce(free_r, ready_w, config, tau, n_steps, realizations, block, spans)
+        os.close(free_r)
+        os.close(ready_w)
+        self._pid, self._free, self._ready = pid, free_w, ready_r
+        self.producer = True
+        try:
+            self._receive(1)  # the streams are open, as on the in-process path
+        except BaseException:
+            self.close()
+            raise
+
+    def _rows_here(self, streams, buffer: np.ndarray, spans):
+        for rows in spans:
+            block = buffer[:rows]
+            self.noise_s += _fill(block, streams)
+            self.normals += rows * self._normals_per_step
             yield from block
-    return rows()
+
+    def _rows_from_producer(self, block: np.ndarray, spans):
+        for rows in spans:
+            try:
+                os.write(self._free, b"f")  # the rows of the last block are spent
+            except BrokenPipeError:
+                pass  # the producer has died; `_receive` reads its EOF
+            self.noise_s += struct.unpack("d", self._receive(8))[0]
+            self.normals += rows * self._normals_per_step
+            yield from block[:rows]
+
+    def _receive(self, size: int) -> bytes:
+        """The producer's next token, of `size` bytes, timed as waiting; a
+        `RuntimeError` with its exit status if it died instead."""
+        t0 = time.perf_counter()
+        token = os.read(self._ready, size)
+        self.noise_wait_s += time.perf_counter() - t0
+        if len(token) == size:
+            return token
+        pid, self._pid = self._pid, None
+        _, status = os.waitpid(pid, 0)
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise RuntimeError(f"the noise producer process {pid} died ({how})")
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return next(self._rows)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self) -> None:
+        """Close the pipes to the producer, which then exits, and reap it."""
+        for fd in (self._free, self._ready):
+            if fd is not None:
+                os.close(fd)
+        self._free = self._ready = None
+        if self._pid is not None:
+            pid, self._pid = self._pid, None
+            os.waitpid(pid, 0)
+
+    def timers(self) -> dict:
+        """Where the noise was drawn, the seconds spent drawing and projecting
+        it (timed per block, where the work happens), the seconds this
+        process waited for a producer, and the normals drawn."""
+        return {"noise": "producer process" if self.producer else "in process",
+                "noise_s": self.noise_s, "noise_wait_s": self.noise_wait_s,
+                "normals": self.normals}
+
+
+def noise_lines(timers) -> dict:
+    """The manifest's noise lines: `ForcingSource.timers()` summed over chunks."""
+    return {
+        "noise": ("producer process" if any(t["noise"] == "producer process" for t in timers)
+                  else "in process"),
+        "noise_s": f"{sum(t['noise_s'] for t in timers):.3f}",
+        "noise_wait_s": f"{sum(t['noise_wait_s'] for t in timers):.3f}",
+        "normals": str(sum(t["normals"] for t in timers)),
+    }
+
+
+def batch_forcing(config: ExperimentConfig, tau: float, n_steps: int, realizations: range,
+                  alone: bool = False) -> ForcingSource:
+    """A `ForcingSource` of per-step (J, m) forcing for a batch of
+    realizations, column i fed from realization realizations[i]'s own stream
+    of `stream_noise(config)`; None at every step when ε = 0.
+
+    Each stream is drawn and projected in blocks of `FORCING_BLOCK_STEPS`
+    steps at fixed per-realization shapes (`_fill`), so every column is
+    bit-identical no matter how realizations are grouped into batches or
+    which process draws them.  A yielded row is a view of one block buffer:
+    it is valid only until the next row is taken.
+
+    The blocks are filled in this process as the rows are taken, unless the
+    batch is `alone` (the run's only task, so a second CPU would idle), spans
+    more than one block and this process may run on two or more CPUs
+    (`usable_cpus`).  Then a producer process forked with `os.fork` opens the
+    streams and fills block k + 1 while the caller marches block k, handing
+    each over through one shared block paced by tokens on two pipes
+    (`_produce`).  A producer that dies raises `RuntimeError` with its exit
+    status.
+    """
+    return ForcingSource(config, tau, n_steps, realizations, alone)
 
 
 def _record_steps(n_steps: int, stride: int, include_zero: bool = True) -> list:
@@ -371,29 +563,29 @@ def _record_steps(n_steps: int, stride: int, include_zero: bool = True) -> list:
     return ([0] if include_zero else []) + steps
 
 
-def _sweep(config: ExperimentConfig, prop, psi0: np.ndarray, lo: int, hi: int):
-    """Run realizations lo..hi-1 from `psi0` for config.n_steps steps of prop.tau.
+def _sweep(config: ExperimentConfig, prop, psi0: np.ndarray, forcing: ForcingSource):
+    """Run the realizations `forcing` feeds from `psi0` for config.n_steps
+    steps of prop.tau.
 
     Yields (n, Ψⁿ, gⁿ) step by step: Ψⁿ holds the realizations as columns
-    and gⁿ is the (J, hi - lo) forcing the step into Ψⁿ took, None at n = 0
+    and gⁿ is the (J, m) forcing the step into Ψⁿ took, None at n = 0
     and when ε = 0.  `march` raises `BlowUpError` naming the realization.
     """
-    forcing, taken = itertools.tee(
-        batch_forcing(config, prop.tau, config.n_steps, range(lo, hi)))
-    psi = np.tile(psi0[:, None], (1, hi - lo))
-    for n, psi in march(psi, prop, config.params, forcing, config.n_steps,
-                        first_realization=lo):
+    rows, taken = itertools.tee(forcing)
+    psi = np.tile(psi0[:, None], (1, len(forcing.realizations)))
+    for n, psi in march(psi, prop, config.params, rows, config.n_steps,
+                        first_realization=forcing.realizations.start):
         yield n, psi, None if n == 0 else next(taken)
 
 
-def _charge_chunk(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
-    """(hi - lo, record steps): the discrete charge of realizations lo..hi-1."""
+def _charge_chunk(config: ExperimentConfig, forcing: ForcingSource) -> np.ndarray:
+    """(m, record steps): the discrete charge of the m realizations `forcing` feeds."""
     psi0 = resolve_initial(config.grid, config.initial)
     prop = make_propagator(config.grid, config.tau, config.params.alpha)
     rec_steps = _record_steps(config.n_steps, config.record_stride)
     rec_index = {s: i for i, s in enumerate(rec_steps)}
-    values = np.empty((hi - lo, len(rec_steps)))
-    for n, psi, _ in _sweep(config, prop, psi0, lo, hi):
+    values = np.empty((len(forcing.realizations), len(rec_steps)))
+    for n, psi, _ in _sweep(config, prop, psi0, forcing):
         i = rec_index.get(n)
         if i is not None:
             # a state too large to square observes as inf; march reports the blow-up
@@ -431,17 +623,18 @@ def charge_experiment(config: ExperimentConfig, chunk_size=None) -> RunRecord:
     )
 
 
-def _ergodic_chunk(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
-    """(hi - lo, record steps, observables): the running averages of
-    realizations lo..hi-1 started from config.initial."""
+def _ergodic_chunk(config: ExperimentConfig, forcing: ForcingSource) -> np.ndarray:
+    """(m, record steps, observables): the running averages of the m
+    realizations `forcing` feeds, started from config.initial."""
     psi0 = resolve_initial(config.grid, config.initial)
     prop = make_propagator(config.grid, config.tau, config.params.alpha)
     obs_fns = [OBSERVABLES[name] for name in config.observables]
     rec_steps = _record_steps(config.n_steps, config.record_stride, include_zero=False)
     rec_index = {s: i for i, s in enumerate(rec_steps)}
-    values = np.empty((hi - lo, len(rec_steps), len(obs_fns)))
-    sums = np.zeros((len(obs_fns), hi - lo))
-    for n, psi, _ in _sweep(config, prop, psi0, lo, hi):
+    m = len(forcing.realizations)
+    values = np.empty((m, len(rec_steps), len(obs_fns)))
+    sums = np.zeros((len(obs_fns), m))
+    for n, psi, _ in _sweep(config, prop, psi0, forcing):
         if n == 0:
             continue
         i = rec_index.get(n)
@@ -486,9 +679,9 @@ def _horizon_steps(config: ExperimentConfig) -> dict:
     return {s: steps[s] for s in sorted(steps)}
 
 
-def _error_chunk(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
-    """(hi - lo, ladder, horizons): h‖Ψ_ref - Ψ_τ‖² of realizations lo..hi-1,
-    both Strang-processed (see `ms_error`)."""
+def _error_chunk(config: ExperimentConfig, forcing: ForcingSource) -> np.ndarray:
+    """(m, ladder, horizons): h‖Ψ_ref - Ψ_τ‖² of the m realizations `forcing`
+    feeds, both Strang-processed (see `ms_error`)."""
     grid = config.grid
     params = config.params
     ratios = [round(tc / config.tau_ref) for tc in config.tau_ladder]
@@ -498,15 +691,16 @@ def _error_chunk(config: ExperimentConfig, lo: int, hi: int) -> np.ndarray:
     props = [make_propagator(grid, tc, params.alpha) for tc in config.tau_ladder]
     psi0 = resolve_initial(grid, config.initial)
 
-    sq = np.empty((hi - lo, len(ratios), len(h_idx)))
+    m = len(forcing.realizations)
+    sq = np.empty((m, len(ratios), len(h_idx)))
     lam = params.lam
     with np.errstate(over="ignore", invalid="ignore"):  # march reports a blow-up
         fine0 = nonlinear_step(psi0, -lam, 0.5 * config.tau_ref)
         coarse0 = [nonlinear_step(psi0, -lam, 0.5 * tc) for tc in config.tau_ladder]
 
-    for n, fine, g in _sweep(config, prop_fine, fine0, lo, hi):
+    for n, fine, g in _sweep(config, prop_fine, fine0, forcing):
         if n == 0:
-            coarse = [np.tile(c0[:, None], (1, hi - lo)) for c0 in coarse0]
+            coarse = [np.tile(c0[:, None], (1, m)) for c0 in coarse0]
             acc = [np.zeros_like(c) for c in coarse]
             continue
         for c, ratio in enumerate(ratios):

@@ -93,17 +93,20 @@ class NumericalError(RuntimeError):
 
 
 class BlowUpError(RuntimeError):
-    """Non-finite state detected; carries the first offending step index and
-    the realization whose state it was."""
+    """Non-finite state detected; carries the first offending step index, the
+    realization whose state it was and the norm ‖Ψⁿ⁻¹‖ = (Σ_j |ψ_j|²)^{1/2}
+    of that realization's last finite state (nan when not known)."""
 
-    def __init__(self, step_index: int, realization: int = 0):
+    def __init__(self, step_index: int, realization: int = 0,
+                 last_finite_norm: float = float("nan")):
         self.step_index = step_index
         self.realization = realization
+        self.last_finite_norm = last_finite_norm
         super().__init__(f"non-finite state after step {step_index} (realization {realization})")
 
     def __reduce__(self):
-        # pickled by a pool worker: rebuild from the step and realization
-        return type(self), (self.step_index, self.realization)
+        # pickled by a pool worker: rebuild from the step, realization and norm
+        return type(self), (self.step_index, self.realization, self.last_finite_norm)
 
 
 def tridiag_factor(J: int, diag, off):
@@ -334,19 +337,22 @@ def march(psi: np.ndarray, prop: LinearPropagator, params: ModelParams, forcing,
     `forcing` is an iterator giving one forcing increment per step, shaped
     like `psi` ((J,) or (J, m), one realization per column), or None for a
     noise-free step.  The yielded arrays are never modified afterwards.
-    Raises `BlowUpError` on the first non-finite state, naming the step and
-    the realization, `first_realization` + column; the overflow that causes
-    it raises no warning.
+    Raises `BlowUpError` on the first non-finite state, naming the step,
+    the realization, `first_realization` + column, and the norm of that
+    column's previous state; the overflow that causes it raises no warning.
     """
     yield 0, psi
     for n in range(1, n_steps + 1):
         g = next(forcing)
         with np.errstate(over="ignore", invalid="ignore"):
-            psi = step(psi, prop, params, g, cutoff)
-        finite = np.isfinite(psi)
+            new = step(psi, prop, params, g, cutoff)
+        finite = np.isfinite(new)
         if not finite.all():
             column = int(np.argwhere(~finite.reshape(psi.shape[0], -1))[0, 1])
-            raise BlowUpError(n, first_realization + column)
+            last = psi.reshape(psi.shape[0], -1)[:, column]
+            # hypot: a finite state too large to square still has a finite norm
+            raise BlowUpError(n, first_realization + column, float(np.hypot.reduce(np.abs(last))))
+        psi = new
         yield n, psi
 
 

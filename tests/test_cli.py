@@ -432,6 +432,12 @@ def test_manifest_records_write_seconds(command, tmp_path):
     rate = int(manifest["realization_steps_per_s"])
     assert realization_steps / (wall + 0.0005) - 1 <= rate
     assert rate <= realization_steps / max(wall - 0.0005, 1e-9) + 1
+    # and its noise work, summed over chunks: 2 min(J, P) normals per
+    # realization-step, J = 9 < P = 100 here, and seconds timed per block
+    assert manifest["noise"] in ("in process", "producer process")
+    for key in ("noise_s", "noise_wait_s"):
+        assert re.fullmatch(r"\d+\.\d{3}", manifest[key]), (key, manifest.get(key))
+    assert int(manifest["normals"]) == 2 * 9 * realization_steps
 
 
 def test_chunk_size_is_an_ensemble_option(tmp_path, capsys):
@@ -626,7 +632,7 @@ def test_blas_thread_policy():
               "print(dsnls.harness.PROVENANCE['blas_threads'])")
     unset = dict.fromkeys(dsnls._THREAD_VARS)
     assert _python_c(report.format(imports="import dsnls.cli"), unset).splitlines() == [
-        "1", "['OPENBLAS_NUM_THREADS']",
+        "1", "[]",
         "OPENBLAS_NUM_THREADS=1 (dsnls default), GOTO_NUM_THREADS=unset, "
         "OMP_NUM_THREADS=unset, MKL_NUM_THREADS=unset"]
     for user in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
@@ -645,6 +651,17 @@ def test_blas_thread_policy():
         assert changed == "[]"
         assert line == (f"{first}, GOTO_NUM_THREADS=unset, OMP_NUM_THREADS=unset, "
                         "MKL_NUM_THREADS=unset")
+
+
+def test_started_interpreters_inherit_no_blas_pin():
+    # dsnls puts the environment back once OpenBLAS has loaded, so a dsnls
+    # started from a dsnls process pins one thread itself, not as a user
+    inner = "import dsnls; print(dsnls._BLAS_THREADS.split(', ')[0])"
+    outer = ("import subprocess, sys, dsnls\n"
+             f"print(subprocess.run([sys.executable, '-c', {inner!r}], capture_output=True,\n"
+             "                     text=True, check=True).stdout.strip())")
+    assert _python_c(outer, dict.fromkeys(dsnls._THREAD_VARS)) == (
+        "OPENBLAS_NUM_THREADS=1 (dsnls default)")
 
 
 def test_cli_import_leaves_scipy_special_unloaded():
@@ -728,6 +745,102 @@ def _assert_blowup_manifest(out, command, step, realization):
         assert f"\n{line}\n" in manifest, line
     assert "write_s" not in manifest
     assert sorted(p.name for p in out.iterdir()) == ["manifest.txt"]
+
+
+def _manifest_lines(out) -> dict:
+    text = (out / "manifest.txt").read_text()
+    return dict(line.split(" = ", 1) for line in text.split("\n\n")[0].splitlines())
+
+
+class TestNoiseProducer:
+    """A lone chunk on two or more CPUs draws its noise in a forked producer."""
+
+    # each longer than one 256-step forcing block
+    CASES = {
+        "order": ["order", "--preset", "fig4-stoch", "--set", "M=4", "--set", "T=2^-3"],
+        "error": ["error", "--preset", "fig3", "--set", "M=4", "--set", "T=2^-3",
+                  "--set", "horizons=2^-4, 2^-3"],
+        "simulate": ["simulate", "--preset", "fig1b", "--set", "kind=simulate",
+                     "--set", "J=1000", "--set", "tau=2^-10", "--set", "T=2^-1",
+                     "--set", "record_stride=64"],
+        "charge": ["charge", "--preset", "fig1b", "--set", "M=4", "--set", "T=8",
+                   "--set", "record_stride=32"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_csv_bytes_independent_of_the_producer(self, command, tmp_path, pin_cpus):
+        argv = self.CASES[command]
+        runs = [(1, [], "in process"), (2, [], "producer process")]
+        if command != "simulate":
+            runs.append((2, ["--chunk-size", "3"], "in process"))  # two pool workers
+        expected = None
+        for cpus, flags, noise in runs:
+            pin_cpus(cpus)
+            out = tmp_path / f"cpus{cpus}{''.join(flags)}"
+            assert run([*argv, *flags, "--out", str(out)]) == EXIT_OK
+            got = {f.name: f.read_bytes() for f in out.glob("*.csv")}
+            expected = expected or got
+            assert got == expected, (cpus, flags)
+            assert _manifest_lines(out)["noise"] == noise, (cpus, flags)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_blowup_names_the_serial_step(self, tmp_path, capsys, pin_cpus, children):
+        # one chunk of four realizations: realization 2 blows up at step 417,
+        # in the second forcing block
+        cfg = tmp_path / "boom.cfg"
+        cfg.write_text(TINY_CHARGE)
+        argv = ["charge", "--config", str(cfg), "--set", "epsilon=3e153", "--set", "M=4",
+                "--set", "T=60", "--seed", "8"]
+        failures = []
+        for cpus in (1, 2):
+            pin_cpus(cpus)
+            out = tmp_path / f"cpus{cpus}"
+            capsys.readouterr()
+            assert run([*argv, "--out", str(out)]) == EXIT_BLOWUP
+            assert children() == []
+            manifest = _manifest_lines(out)
+            failures.append((capsys.readouterr().err, manifest["failed_step"],
+                             manifest["failed_realization"], manifest["last_finite_norm"]))
+        assert failures[0] == failures[1]
+        err, failed_step, failed_realization, norm = failures[0]
+        assert err == "numerical blow-up: non-finite state after step 417 (realization 2)\n"
+        assert (failed_step, failed_realization) == ("417", "2")
+        assert 1e154 < float(norm) < float("inf")  # a finite state too large to square
+
+    @pytest.mark.skipif(not Path(f"/proc/self/task/{os.getpid()}/children").is_file(),
+                        reason="finds the producer in /proc/self/task/*/children")
+    def test_killed_producer_raises_runtime_error(self, tmp_path, pin_cpus, children,
+                                                  monkeypatch):
+        # kill the producer while the consumer marches the first block
+        from dsnls import harness
+
+        pin_cpus(2)
+        calls = []
+
+        def charge_then_kill(psi, h, _fn=harness.discrete_charge):
+            calls.append(1)
+            if len(calls) == 2:
+                (pid,) = children()
+                os.kill(pid, 9)
+            return _fn(psi, h)
+        monkeypatch.setattr(harness, "discrete_charge", charge_then_kill)
+        argv = [*self.CASES["charge"], "--out", str(tmp_path / "killed")]
+        with pytest.raises(RuntimeError, match=r"noise producer process \d+ died "
+                                               r"\(killed by signal 9\)"):
+            run(argv)
+        assert children() == []
+
+    def test_single_block_runs_draw_in_process(self, tmp_path, pin_cpus):
+        # perfbench's tracer sees only this process: its pinned one-block
+        # runs must keep their noise here
+        pin_cpus(2)
+        for argv in (["charge", "--preset", "fig1b", "--set", "M=2", "--set", "T=2^-2"],
+                     ["order", "--preset", "fig4-stoch", "--set", "M=2", "--set", "T=2^-5"],
+                     ["simulate", "--preset", "fig1b", "--set", "kind=simulate",
+                      "--set", "T=2^-2"]):
+            out = tmp_path / argv[0]
+            assert run([*argv, "--out", str(out)]) == EXIT_OK
+            assert _manifest_lines(out)["noise"] == "in process", argv
 
 
 class TestErgodicCli:

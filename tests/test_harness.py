@@ -26,7 +26,7 @@ from dsnls.model import GridSpec, ModelParams, NoiseSpec, spectrum
 from dsnls.noise import fold_noise, forcing_weights, generate_path, project_forcing
 
 
-def _exit_in_worker(config, lo, hi):
+def _exit_in_worker(config, forcing):
     os._exit(1)
 
 
@@ -165,7 +165,8 @@ class TestRunEnsemble:
         for c in (None, 1, 3):
             per_realization = np.empty((cfg.M, cfg.n_steps + 1))
             for lo, hi in _chunks(cfg.M, c):
-                for n, psi, _ in _sweep(cfg, prop, psi0, lo, hi):
+                forcing = batch_forcing(cfg, cfg.tau, cfg.n_steps, range(lo, hi))
+                for n, psi, _ in _sweep(cfg, prop, psi0, forcing):
                     per_realization[lo:hi, n] = discrete_charge(psi, h)
             values.append(per_realization)
         records = [charge_experiment(cfg, chunk_size=c) for c in (None, 1, 3)]
@@ -241,7 +242,8 @@ class TestRunEnsemble:
         manual = _manual_states(cfg, prop, psi0)
         _, states = integrate(psi0[:, None], prop, cfg.params,
                               batch_forcing(cfg, cfg.tau, cfg.n_steps, range(1)), cfg.n_steps)
-        batch = [psi[:, 0].copy() for _, psi, _ in _sweep(cfg, prop, psi0, 0, cfg.M)]
+        forcing = batch_forcing(cfg, cfg.tau, cfg.n_steps, range(cfg.M))
+        batch = [psi[:, 0].copy() for _, psi, _ in _sweep(cfg, prop, psi0, forcing)]
         assert len(batch) == cfg.n_steps + 1
         np.testing.assert_array_equal(states[:, :, 0], manual)
         np.testing.assert_array_equal(np.array(batch), manual)

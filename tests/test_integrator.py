@@ -353,3 +353,19 @@ class TestIntegrate:
         with pytest.raises(BlowUpError) as err:
             integrate(psi0, prop, params, itertools.repeat(None), 5)
         assert err.value.step_index == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_blowup_carries_the_last_finite_norm(self):
+        # the norm of the failed column's previous state, computed without
+        # overflow, and kept when a pool worker pickles the error
+        import pickle
+
+        grid, params, noise, prop = self._base(eps=0.0)
+        psi0 = np.stack([_random_state(6, seed=1), np.full(6, 1e200 + 0j)], axis=1)
+        with pytest.raises(BlowUpError) as err:
+            integrate(psi0, prop, params, itertools.repeat(None), 5)
+        assert (err.value.step_index, err.value.realization) == (1, 1)
+        assert err.value.last_finite_norm == pytest.approx(1e200 * np.sqrt(6), rel=1e-15)
+        clone = pickle.loads(pickle.dumps(err.value))
+        assert (clone.step_index, clone.realization, clone.last_finite_norm) == (
+            1, 1, err.value.last_finite_norm)

@@ -214,7 +214,10 @@ class TestFold:
         assert fold_noise(grid, folded) == folded
 
     @pytest.mark.parametrize("J, P", [(3, 100), (9, 100), (9, 4)])
-    def test_stream_draws_two_normals_per_folded_mode(self, J, P, monkeypatch):
+    def test_stream_draws_two_normals_per_folded_mode(self, J, P, monkeypatch, pin_cpus):
+        # one CPU keeps this 320-step run's draws in this process, where they
+        # are counted, rather than in a noise producer process
+        pin_cpus(1)
         drawn = []
         draw = dsnls.noise._draw
 
