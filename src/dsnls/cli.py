@@ -7,24 +7,29 @@ directory.  Every run writes the statistics tables as CSV plus one plain-text
 manifest; re-running the same config and seed reproduces the CSV bytes.
 
 Exit codes: 0 success, 2 config/usage error, 3 numerical blow-up,
-4 diagnose-mode check failure, 5 I/O error.  A blow-up still writes a partial
-manifest that names the step and the realization that failed, and the norm
-of that realization's last finite state.
+4 diagnose-mode check failure, 5 I/O error, 6 a worker process died (a pool
+worker, the noise producer or the trajectory writer).  A blow-up still
+writes a partial manifest that names the step and the realization that
+failed, and the norm of that realization's last finite state; a dead worker
+one that names the process and its exit status.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
+from . import harness
 from .config import ConfigError, parse_config, serialize_config
 from .diagnostics import run_diagnostic_suite
 from .harness import (
     PROVENANCE,
+    WorkerDied,
     base_manifest,
     batch_forcing,
     charge_experiment,
@@ -46,6 +51,7 @@ EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 EXIT_DIAGNOSE = 4
 EXIT_IO = 5
+EXIT_WORKER = 6
 
 
 def _fmt(value) -> str:
@@ -63,21 +69,82 @@ def _write_csv(path: Path, columns, rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _write_trajectory(path: Path, steps, tau: float, states) -> None:
-    """trajectory.csv with `_write_csv`'s bytes, written one snapshot at a time:
-    state states[i] at step steps[i] and time steps[i] · tau.
+def _snapshot_lines(step: int, t: float, state, nodes) -> str:
+    """trajectory.csv's lines of one snapshot: state at step `step`, time t.
 
     No cell of these rows needs quoting, so csv.writer's line is the cells'
     str/repr joined by "," and ended by "\r\n"; formatting it directly skips
     a `_fmt` call per cell and a `writerow` per line.
     """
-    nodes = [str(j) for j in range(1, states.shape[1] + 1)]
+    head = f"{step},{t!r},"
+    return "".join([f"{head}{node},{re!r},{im!r}\r\n" for node, re, im
+                    in zip(nodes, state.real.tolist(), state.imag.tolist())])
+
+
+def _write_snapshots(path: Path, snapshots, nodes) -> None:
+    """trajectory.csv's header and the lines of `snapshots`, one at a time."""
     with open(path, "w", newline="") as fh:
         fh.write("step,t,node,re,im\r\n")
-        for step, t, state in zip(steps.tolist(), (steps * tau).tolist(), states):
-            head = f"{step},{t!r},"
-            fh.write("".join([f"{head}{node},{re!r},{im!r}\r\n" for node, re, im
-                              in zip(nodes, state.real.tolist(), state.imag.tolist())]))
+        for snapshot in snapshots:
+            fh.write(_snapshot_lines(*snapshot, nodes))
+
+
+def _append_snapshots(path: Path, token: int, snapshots, nodes) -> int:
+    """The trajectory writer process (`harness.fork_child` runs it): format
+    `snapshots` in memory, then, on a token, append them to `path`; its exit
+    code, EXIT_IO if the append fails.  At EOF without a token, which the
+    parent sends only once it has written and closed the file's first part,
+    it appends nothing."""
+    text = "".join([_snapshot_lines(*snapshot, nodes) for snapshot in snapshots])
+    if not os.read(token, 1):
+        return EXIT_OK
+    try:
+        with open(path, "a", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        os.write(2, f"i/o error: {exc}\n".encode())
+        return EXIT_IO
+    return EXIT_OK
+
+
+def _write_trajectory(path: Path, steps, tau: float, states) -> dict:
+    """trajectory.csv with `_write_csv`'s bytes: state states[i] at step
+    steps[i] and time steps[i] · tau, one snapshot's lines at a time; the
+    manifest's `trajectory_writers` line.
+
+    With two or more snapshots and two or more usable CPUs, a writer process
+    forked with `harness.fork_child` formats the second half of the
+    snapshots in its own memory while this process writes the header and
+    the first half.  Once this process has closed the file it sends a
+    token, and the writer appends its half.  Both halves go through
+    `_snapshot_lines`, so the bytes do not depend on the split.  A writer
+    that dies, or exits non-zero, removes the file and raises `WorkerDied`,
+    or `OSError` if its append failed.
+    """
+    nodes = [str(j) for j in range(1, states.shape[1] + 1)]
+    snapshots = list(zip(steps.tolist(), (steps * tau).tolist(), states))
+    half = len(snapshots) // 2 if harness.usable_cpus() > 1 else 0
+    if not half:
+        _write_snapshots(path, snapshots, nodes)
+        return {"trajectory_writers": "1"}
+    token_r, token = os.pipe()
+    pid = harness.fork_child(_append_snapshots, (path, token_r, snapshots[half:], nodes),
+                             child_fds=(token_r,), parent_fds=(token,))
+    try:
+        _write_snapshots(path, snapshots[:half], nodes)
+        try:
+            os.write(token, b"a")
+        except BrokenPipeError:
+            pass  # the writer has died; reaping it says how
+    finally:
+        os.close(token)
+        code = harness.reap_child(pid)
+    if code:
+        path.unlink(missing_ok=True)
+        if code == EXIT_IO:
+            raise OSError(f"the trajectory writer process {pid} could not append to {path}")
+        raise WorkerDied(f"trajectory writer process {pid}", code)
+    return {"trajectory_writers": "2"}
 
 
 def _write_manifest(path: Path, manifest: dict, config_text: str | None,
@@ -124,29 +191,33 @@ def _out_dir(args) -> Path:
 
 def _emit(out: Path, manifest: dict, config_text: str | None, command: str, overrides,
           *tables) -> None:
-    """Write each (writer, file name, *data) table, then the manifest with their write_s."""
+    """Write each (writer, file name, *data) table, then the manifest with
+    the lines a writer returns and their write_s."""
     t0 = time.perf_counter()
     for write, name, *data in tables:
-        write(out / name, *data)
+        manifest.update(write(out / name, *data) or {})
     manifest["write_s"] = f"{time.perf_counter() - t0:.3f}"
     _write_manifest(out / "manifest.txt", manifest, config_text, command, overrides)
 
 
 @contextmanager
-def _manifest_on_blowup(out: Path, config, command: str, overrides):
-    """Let a `BlowUpError` through to its exit code, after writing a partial
-    manifest: the provenance and config lines, `status = blow-up`, the
-    step and realization that failed and that realization's last finite
-    norm ‖Ψⁿ⁻¹‖."""
+def _partial_manifest(out: Path, config, command: str, overrides):
+    """Let a `BlowUpError` or a `WorkerDied` through to its exit code, after
+    writing a partial manifest: the provenance and config lines, then
+    `status = blow-up` with the step and realization that failed and that
+    realization's last finite norm ‖Ψⁿ⁻¹‖, or `status = worker-died` with
+    the process that died and its exit status."""
     try:
         yield
-    except BlowUpError as exc:
-        manifest = {**base_manifest(config), "status": "blow-up",
-                    "failed_step": str(exc.step_index),
-                    "failed_realization": str(exc.realization),
-                    "last_finite_norm": repr(exc.last_finite_norm)}
-        _write_manifest(out / "manifest.txt", manifest, serialize_config(config), command,
-                        overrides)
+    except (BlowUpError, WorkerDied) as exc:
+        if isinstance(exc, BlowUpError):
+            failure = {"status": "blow-up", "failed_step": str(exc.step_index),
+                       "failed_realization": str(exc.realization),
+                       "last_finite_norm": repr(exc.last_finite_norm)}
+        else:
+            failure = {"status": "worker-died", "dead_process": f"{exc.process} ({exc.status})"}
+        _write_manifest(out / "manifest.txt", {**base_manifest(config), **failure},
+                        serialize_config(config), command, overrides)
         raise
 
 
@@ -157,7 +228,7 @@ def _cmd_experiment(args, command: str) -> int:
             f"config kind '{config.kind}' does not match subcommand '{command}' "
             f"(use --set kind={command} to retarget)")
     out = _out_dir(args)
-    with _manifest_on_blowup(out, config, command, args.set or []):
+    with _partial_manifest(out, config, command, args.set or []):
         if command == "charge":
             record = charge_experiment(config, chunk_size=args.chunk_size)
         elif command == "ergodic":
@@ -187,19 +258,19 @@ def _cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     psi0 = resolve_initial(config.grid, config.initial)
     prop = make_propagator(config.grid, config.tau, config.params.alpha)
-    # realization 0 of the ensemble, stepped as a batch of one column; the
-    # run's only task, so its noise may be drawn on a second CPU
-    with (_manifest_on_blowup(out, config, "simulate", args.set or []),
-          batch_forcing(config, config.tau, config.n_steps, range(1), alone=True) as forcing):
-        steps, states = integrate(psi0[:, None], prop, config.params, forcing, config.n_steps,
-                                  config.record_stride)
-    wall = time.perf_counter() - t0
-    manifest = base_manifest(config)
-    manifest["wall_time_s"] = f"{wall:.3f}"
-    manifest["realization_steps_per_s"] = f"{config.n_steps / wall:.0f}"
-    manifest.update(noise_lines([forcing.timers()]))
-    _emit(out, manifest, serialize_config(config), "simulate", args.set or [],
-          (_write_trajectory, "trajectory.csv", steps, config.tau, states[:, :, 0]))
+    with _partial_manifest(out, config, "simulate", args.set or []):
+        # realization 0 of the ensemble, stepped as a batch of one column;
+        # the run's only task, so its noise may be drawn on a second CPU
+        with batch_forcing(config, config.tau, config.n_steps, range(1), alone=True) as forcing:
+            steps, states = integrate(psi0[:, None], prop, config.params, forcing,
+                                      config.n_steps, config.record_stride)
+        wall = time.perf_counter() - t0
+        manifest = base_manifest(config)
+        manifest["wall_time_s"] = f"{wall:.3f}"
+        manifest["realization_steps_per_s"] = f"{config.n_steps / wall:.0f}"
+        manifest.update(noise_lines([forcing.timers()]))
+        _emit(out, manifest, serialize_config(config), "simulate", args.set or [],
+              (_write_trajectory, "trajectory.csv", steps, config.tau, states[:, :, 0]))
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -282,6 +353,9 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except WorkerDied as exc:
+        print(f"worker died: {exc}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 def main() -> None:

@@ -32,7 +32,6 @@ import mmap
 import os
 import platform
 import struct
-import sys
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -68,6 +67,9 @@ __all__ = [
     "stream_noise",
     "batch_forcing",
     "ForcingSource",
+    "WorkerDied",
+    "fork_child",
+    "reap_child",
     "noise_lines",
     "charge_experiment",
     "ergodic_experiment",
@@ -319,8 +321,8 @@ def _map_chunks(fn, configs, chunk_size):
     process (`batch_forcing`).  Results come back in chunk order
     (`Executor.map`), so a `BlowUpError` names the step and realization a
     serial loop over the same chunks would name.  A worker that dies raises
-    `BrokenProcessPool` where a `multiprocessing.Pool` would wait for it
-    forever.
+    `WorkerDied` (from the pool's `BrokenProcessPool`) where a
+    `multiprocessing.Pool` would wait for it forever.
     """
     spans = [(config, lo, hi) for config in configs for lo, hi in _chunks(config.M, chunk_size)]
     tasks = [(fn, config, lo, hi, len(spans) == 1) for config, lo, hi in spans]
@@ -330,11 +332,15 @@ def _map_chunks(fn, configs, chunk_size):
         # imported here, so that a single chunk never loads multiprocessing
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         # fork: a worker starts with numpy and LAPACK loaded, where spawn
         # would pay the 0.2 s import of dsnls again in each
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            results = list(pool.map(_run_chunk, tasks))
+            try:
+                results = list(pool.map(_run_chunk, tasks))
+            except BrokenProcessPool as exc:
+                raise WorkerDied("pool worker process") from exc
     else:
         results = [_run_chunk(task) for task in tasks]
     rows, timers = zip(*results)
@@ -357,6 +363,9 @@ def _open_streams(config: ExperimentConfig, tau: float, n_steps: int, realizatio
     """Each realization's `forcing_blocks` stream of `stream_noise(config)`."""
     noise = stream_noise(config)
     weights = forcing_weights(config.grid, noise, config.params.epsilon)
+    # the transposed view of one complex (P, J) copy, which every stream's
+    # `forcing_blocks` then projects with uncopied
+    weights = np.ascontiguousarray(weights.T, dtype=complex).T
     return [forcing_blocks(weights, noise, tau, n_steps, r) for r in realizations]
 
 
@@ -369,39 +378,98 @@ def _fill(block: np.ndarray, streams) -> float:
     return time.perf_counter() - t0
 
 
+class WorkerDied(RuntimeError):
+    """A process dsnls started to share a run's work died before it ended:
+    a pool worker, the noise producer or the trajectory writer.
+
+    `process` names it and `status` says how it ended, from its exit code
+    `code`: -N when signal N killed it, None when not known (a pool worker).
+    """
+
+    def __init__(self, process: str, code: int | None = None):
+        self.process = process
+        if code is None:
+            self.status = "exit status not reported"
+        elif code < 0:
+            self.status = f"killed by signal {-code}"
+        else:
+            self.status = f"exit status {code}"
+        super().__init__(f"the {process} died ({self.status})")
+
+
+def fork_child(body, args: tuple, child_fds: tuple, parent_fds: tuple) -> int:
+    """Fork a process that runs body(*args) and exits; return its pid.
+
+    `child_fds` are the pipe ends only the child uses and `parent_fds` the
+    ends only this process uses.  Each side closes the other's ends, so
+    either reads EOF once the other has closed them or died; all of them are
+    closed here if the fork fails.  The child exits with body's return value
+    (0 for None), or 1 if body raises: after writing the traceback straight
+    to file descriptor 2, or quietly on `KeyboardInterrupt`.  It ends in
+    `os._exit`, so it never unwinds into the caller's frames and never
+    flushes the stdio buffers it inherited.  Reap it with `reap_child`.
+    """
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (*child_fds, *parent_fds):
+            os.close(fd)
+        raise
+    if pid:
+        for fd in child_fds:
+            os.close(fd)
+        return pid
+    code = 1
+    try:
+        for fd in parent_fds:
+            os.close(fd)
+        code = body(*args) or 0
+    except KeyboardInterrupt:
+        pass  # the whole process group was interrupted
+    except BaseException:  # reported here: a forked child must never unwind into the caller
+        import traceback
+
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(code)
+
+
+def reap_child(pid: int) -> int:
+    """Wait for the child `pid` to end and return its exit code, -N if
+    signal N killed it.  A `KeyboardInterrupt` during the wait is raised
+    again once the child is reaped."""
+    try:
+        _, status = os.waitpid(pid, 0)
+    except KeyboardInterrupt:
+        os.waitpid(pid, 0)
+        raise
+    return os.waitstatus_to_exitcode(status)
+
+
 def _produce(free: int, ready: int, config: ExperimentConfig, tau: float, n_steps: int,
              realizations, block: np.ndarray, spans) -> None:
-    """The life of a producer process; it ends in `os._exit`.
+    """The life of a producer process (`fork_child` runs it).
 
     It opens the streams, so numpy.random and the generator state live only
     here, and says so with a one-byte token.  It fills each block privately,
     waits for a "free" token, copies the block into the shared `block` and
     answers with a "ready" token that carries the fill's seconds; so it
-    fills block k + 1 while the consumer marches block k.  It exits 0 after
-    the last block or at EOF on `free` (the consumer closed), and 1, with a
-    traceback, on any other error.
+    fills block k + 1 while the consumer marches block k.  It ends after the
+    last block, or at EOF on `free` or a broken `ready` pipe: the consumer
+    has closed.
     """
-    code = 1
+    streams = _open_streams(config, tau, n_steps, realizations)
     try:
-        streams = _open_streams(config, tau, n_steps, realizations)
         os.write(ready, b"s")
         private = np.empty_like(block)
         for rows in spans:
             seconds = _fill(private[:rows], streams)
             if not os.read(free, 1):
-                break
+                return
             block[:rows] = private[:rows]
             os.write(ready, struct.pack("d", seconds))
-        code = 0
-    except (BrokenPipeError, KeyboardInterrupt):
-        code = 0  # the consumer has gone, or the whole process group was interrupted
-    except BaseException:  # reported here: a forked child must never unwind into the caller
-        import traceback
-
-        traceback.print_exc()
-        sys.stderr.flush()
-    finally:
-        os._exit(code)
+    except BrokenPipeError:
+        pass
 
 
 class ForcingSource:
@@ -438,20 +506,10 @@ class ForcingSource:
     def _fork(self, config, tau, n_steps, realizations, block, spans) -> None:
         free_r, free_w = os.pipe()
         ready_r, ready_w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (free_r, free_w, ready_r, ready_w):
-                os.close(fd)
-            raise
-        if pid == 0:
-            # the producer keeps no end the consumer reads EOF from
-            os.close(free_w)
-            os.close(ready_r)
-            _produce(free_r, ready_w, config, tau, n_steps, realizations, block, spans)
-        os.close(free_r)
-        os.close(ready_w)
-        self._pid, self._free, self._ready = pid, free_w, ready_r
+        self._pid = fork_child(_produce, (free_r, ready_w, config, tau, n_steps, realizations,
+                                          block, spans),
+                               child_fds=(free_r, ready_w), parent_fds=(free_w, ready_r))
+        self._free, self._ready = free_w, ready_r
         self.producer = True
         try:
             self._receive(1)  # the streams are open, as on the in-process path
@@ -478,17 +536,14 @@ class ForcingSource:
 
     def _receive(self, size: int) -> bytes:
         """The producer's next token, of `size` bytes, timed as waiting; a
-        `RuntimeError` with its exit status if it died instead."""
+        `WorkerDied` with its exit status if it died instead."""
         t0 = time.perf_counter()
         token = os.read(self._ready, size)
         self.noise_wait_s += time.perf_counter() - t0
         if len(token) == size:
             return token
         pid, self._pid = self._pid, None
-        _, status = os.waitpid(pid, 0)
-        code = os.waitstatus_to_exitcode(status)
-        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-        raise RuntimeError(f"the noise producer process {pid} died ({how})")
+        raise WorkerDied(f"noise producer process {pid}", reap_child(pid))
 
     def __iter__(self):
         return self
@@ -510,7 +565,7 @@ class ForcingSource:
         self._free = self._ready = None
         if self._pid is not None:
             pid, self._pid = self._pid, None
-            os.waitpid(pid, 0)
+            reap_child(pid)
 
     def timers(self) -> dict:
         """Where the noise was drawn, the seconds spent drawing and projecting
@@ -550,7 +605,7 @@ def batch_forcing(config: ExperimentConfig, tau: float, n_steps: int, realizatio
     (`usable_cpus`).  Then a producer process forked with `os.fork` opens the
     streams and fills block k + 1 while the caller marches block k, handing
     each over through one shared block paced by tokens on two pipes
-    (`_produce`).  A producer that dies raises `RuntimeError` with its exit
+    (`_produce`).  A producer that dies raises `WorkerDied` with its exit
     status.
     """
     return ForcingSource(config, tau, n_steps, realizations, alone)

@@ -359,10 +359,15 @@ def march(psi: np.ndarray, prop: LinearPropagator, params: ModelParams, forcing,
 def integrate(psi0: np.ndarray, prop: LinearPropagator, params: ModelParams, forcing,
               n_steps: int, record_stride: int = 1):
     """`march` Ψ⁰ along `forcing`, returning the indices of every
-    `record_stride`-th step and the last, and the states there stacked."""
-    steps, states = [], []
+    `record_stride`-th step and the last, and the states there stacked,
+    each copied into one array as it is reached."""
+    steps = list(range(0, n_steps + 1, record_stride))
+    if steps[-1] != n_steps:
+        steps.append(n_steps)
+    states = np.empty((len(steps), *np.shape(psi0)), dtype=complex)
+    i = 0
     for n, psi in march(psi0, prop, params, forcing, n_steps):
-        if n % record_stride == 0 or n == n_steps:
-            steps.append(n)
-            states.append(psi)  # march never modifies a state it has yielded
-    return np.asarray(steps), np.asarray(states)
+        if n == steps[i]:
+            states[i] = psi
+            i += 1
+    return np.asarray(steps), states

@@ -135,6 +135,9 @@ def forcing_blocks(weights: np.ndarray, noise: NoiseSpec, tau_fine: float, n_ste
     values do not depend on how realizations are batched.
     """
     blocks = increment_blocks(noise, tau_fine, n_steps, realization)
+    # `project_forcing`'s product with its (P, J) matrix built once, complex,
+    # so no block casts it again: the same bits.  The transposed view of such
+    # a matrix is used uncopied.
+    projection = np.ascontiguousarray(weights.T, dtype=complex)
     # next(blocks) is never bound, so a suspended iterator holds no block
-    return (project_forcing(next(blocks), weights)
-            for _ in range(0, n_steps, FORCING_BLOCK_STEPS))
+    return (next(blocks) @ projection for _ in range(0, n_steps, FORCING_BLOCK_STEPS))

@@ -14,7 +14,9 @@ import dsnls
 from dsnls.cli import (
     EXIT_BLOWUP,
     EXIT_CONFIG,
+    EXIT_IO,
     EXIT_OK,
+    EXIT_WORKER,
     _write_trajectory,
     run,
 )
@@ -464,19 +466,35 @@ class TestTrajectoryWriter:
                     writer.writerow([str(int(step)), repr(float(int(step) * tau)), str(j),
                                      repr(float(z.real)), repr(float(z.imag))])
 
-    def test_bytes_equal_csv_writer_on_edge_cells(self, tmp_path):
+    def test_bytes_equal_csv_writer_on_edge_cells(self, tmp_path, pin_cpus):
+        # on two CPUs, so the forked writer formats the last snapshot
+        pin_cpus(2)
         cells = [-0.0, 5e-324, 1e-05, 1e+16, 0.1 + 0.2, -1.5, 0.0, 123456.789]
         states = numpy.array([complex(re, im) for re, im in zip(cells, cells[::-1])]
                              + [complex(-0.0, -0.0)]).reshape(3, 3)
         assert str(states[0, 0].real) == "-0.0"
         steps = numpy.array([0, 3, 10 ** 17])  # times 0.0, 0.30000000000000004, 1e+16
-        _write_trajectory(tmp_path / "new.csv", steps, 0.1, states)
+        assert _write_trajectory(tmp_path / "new.csv", steps, 0.1, states) == {
+            "trajectory_writers": "2"}
         self._reference(tmp_path / "ref.csv", steps, 0.1, states)
         data = (tmp_path / "new.csv").read_bytes()
         assert data == (tmp_path / "ref.csv").read_bytes()
         for cell in (b",-0.0,", b",5e-324", b",1e-05,", b",1e+16", b"3,0.30000000000000004,",
                      b"100000000000000000,1e+16,3,", b"\r\n"):
             assert cell in data, cell
+
+    @pytest.mark.parametrize("snapshots", [1, 2, 9, 10, 33])
+    def test_bytes_independent_of_the_split(self, snapshots, tmp_path, pin_cpus):
+        rng = numpy.random.default_rng(snapshots)
+        states = rng.standard_normal((snapshots, 7)) + 1j * rng.standard_normal((snapshots, 7))
+        steps = numpy.arange(snapshots) * 3
+        self._reference(tmp_path / "ref.csv", steps, 2.0 ** -10, states)
+        for cpus in (1, 2):
+            pin_cpus(cpus)
+            path = tmp_path / f"cpus{cpus}.csv"
+            writers = _write_trajectory(path, steps, 2.0 ** -10, states)
+            assert writers == {"trajectory_writers": "2" if cpus == 2 and snapshots > 1 else "1"}
+            assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes(), cpus
 
     def test_j1000_simulate_matches_csv_writer(self, tmp_path, monkeypatch):
         import dsnls.cli as cli
@@ -680,14 +698,17 @@ def test_single_chunk_runs_leave_multiprocessing_unloaded(tmp_path):
         "print('multiprocessing' in sys.modules)") == "False\nwrote " + str(out) + "\nFalse"
 
 
-@pytest.mark.parametrize("command", ["simulate", "charge", "order"])
+@pytest.mark.parametrize("command", ["simulate", "simulate-j1000", "charge", "order"])
 def test_commands_leave_heavy_modules_unloaded(command, tmp_path):
     # each would add its import time and memory to every run: scipy.special;
     # scipy.linalg's __init__, which pulls in numpy.f2py and numpy.testing; and,
-    # on a run of one chunk, the pool's multiprocessing
+    # on a run of one chunk, the pool's multiprocessing.  simulate-j1000 writes
+    # three snapshots, so on two CPUs it forks the trajectory writer.
     heavy = ("scipy.special", "scipy.linalg", "numpy.f2py", "numpy.testing", "multiprocessing")
     argv = {
         "simulate": ["simulate", "--preset", "fig1b", "--set", "kind=simulate"],
+        "simulate-j1000": ["simulate", "--preset", "fig1b", "--set", "kind=simulate",
+                           "--set", "J=1000", "--set", "tau=2^-10"],
         "charge": ["charge", "--preset", "fig1b", "--set", "M=2"],
         "order": ["order", "--preset", "fig4-stoch", "--set", "M=2"],
     }[command] + ["--set", "T=2^-5", "--out", str(tmp_path / command)]
@@ -735,16 +756,26 @@ def test_blowup_in_a_worker_names_the_serial_step(tmp_path, capsys, pin_cpus):
         _assert_blowup_manifest(tmp_path / f"cpus{cpus}", "charge", step=1452, realization=0)
 
 
-def _assert_blowup_manifest(out, command, step, realization):
-    """A blow-up leaves a partial manifest: provenance, the failure and the config echo."""
+def _assert_partial_manifest(out, command, *failure) -> str:
+    """A failed run leaves a partial manifest and no table: provenance, the
+    `failure` lines and the config echo.  Returns the manifest's text."""
     manifest = (out / "manifest.txt").read_text()
     assert manifest.startswith(f"command = {command}\n")
-    for line in (*PROVENANCE_LINES, "status = blow-up", f"failed_step = {step}",
-                 f"failed_realization = {realization}", "# config echo",
-                 f"| kind = {command}"):
+    for line in (*PROVENANCE_LINES, *failure, "# config echo", f"| kind = {command}"):
         assert f"\n{line}\n" in manifest, line
     assert "write_s" not in manifest
     assert sorted(p.name for p in out.iterdir()) == ["manifest.txt"]
+    return manifest
+
+
+def _assert_blowup_manifest(out, command, step, realization):
+    _assert_partial_manifest(out, command, "status = blow-up", f"failed_step = {step}",
+                             f"failed_realization = {realization}")
+
+
+def _assert_worker_died_manifest(out, command, process, status):
+    manifest = _assert_partial_manifest(out, command, "status = worker-died")
+    assert re.search(rf"^dead_process = {process} \({status}\)$", manifest, re.MULTILINE)
 
 
 def _manifest_lines(out) -> dict:
@@ -781,7 +812,10 @@ class TestNoiseProducer:
             got = {f.name: f.read_bytes() for f in out.glob("*.csv")}
             expected = expected or got
             assert got == expected, (cpus, flags)
-            assert _manifest_lines(out)["noise"] == noise, (cpus, flags)
+            manifest = _manifest_lines(out)
+            assert manifest["noise"] == noise, (cpus, flags)
+            if command == "simulate":
+                assert manifest["trajectory_writers"] == str(cpus)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blowup_names_the_serial_step(self, tmp_path, capsys, pin_cpus, children):
@@ -810,10 +844,12 @@ class TestNoiseProducer:
     @pytest.mark.skipif(not Path(f"/proc/self/task/{os.getpid()}/children").is_file(),
                         reason="finds the producer in /proc/self/task/*/children")
     def test_killed_producer_raises_runtime_error(self, tmp_path, pin_cpus, children,
-                                                  monkeypatch):
-        # kill the producer while the consumer marches the first block
+                                                  monkeypatch, capsys):
+        # kill the producer while the consumer marches the first block: its
+        # WorkerDied, a RuntimeError, exits 6 with a partial manifest
         from dsnls import harness
 
+        assert issubclass(harness.WorkerDied, RuntimeError)
         pin_cpus(2)
         calls = []
 
@@ -824,11 +860,13 @@ class TestNoiseProducer:
                 os.kill(pid, 9)
             return _fn(psi, h)
         monkeypatch.setattr(harness, "discrete_charge", charge_then_kill)
-        argv = [*self.CASES["charge"], "--out", str(tmp_path / "killed")]
-        with pytest.raises(RuntimeError, match=r"noise producer process \d+ died "
-                                               r"\(killed by signal 9\)"):
-            run(argv)
+        out = tmp_path / "killed"
+        assert run([*self.CASES["charge"], "--out", str(out)]) == EXIT_WORKER
+        assert re.fullmatch(r"worker died: the noise producer process \d+ died "
+                            r"\(killed by signal 9\)\n", capsys.readouterr().err)
         assert children() == []
+        _assert_worker_died_manifest(out, "charge", r"noise producer process \d+",
+                                     "killed by signal 9")
 
     def test_single_block_runs_draw_in_process(self, tmp_path, pin_cpus):
         # perfbench's tracer sees only this process: its pinned one-block
@@ -841,6 +879,58 @@ class TestNoiseProducer:
             out = tmp_path / argv[0]
             assert run([*argv, "--out", str(out)]) == EXIT_OK
             assert _manifest_lines(out)["noise"] == "in process", argv
+
+
+@pytest.mark.skipif(not Path(f"/proc/self/task/{os.getpid()}/children").is_file(),
+                    reason="finds the writer in /proc/self/task/*/children")
+class TestTrajectoryWriterProcess:
+    """On two CPUs a forked writer formats and appends trajectory.csv's second half."""
+
+    # 16 steps, one forcing block, so the noise is drawn in process; the
+    # snapshots at steps 0 and 16 are split between the two writers
+    ARGV = ["simulate", "--preset", "fig1b", "--set", "kind=simulate", "--set", "T=2^-2"]
+
+    def test_killed_writer_exits_6_and_leaves_no_file(self, tmp_path, pin_cpus, children,
+                                                      monkeypatch, capsys):
+        import dsnls.cli as cli
+
+        pin_cpus(2)
+
+        def kill_then_write(path, snapshots, nodes, _fn=cli._write_snapshots):
+            (pid,) = children()
+            os.kill(pid, 9)
+            _fn(path, snapshots, nodes)
+        monkeypatch.setattr(cli, "_write_snapshots", kill_then_write)
+        out = tmp_path / "killed"
+        assert run([*self.ARGV, "--out", str(out)]) == EXIT_WORKER
+        assert re.fullmatch(r"worker died: the trajectory writer process \d+ died "
+                            r"\(killed by signal 9\)\n", capsys.readouterr().err)
+        assert children() == []
+        _assert_worker_died_manifest(out, "simulate", r"trajectory writer process \d+",
+                                     "killed by signal 9")
+
+    def test_failed_append_is_an_io_error(self, tmp_path, pin_cpus, children, monkeypatch,
+                                          capfd):
+        # the writer process opens the file for append; it fails there alone
+        import builtins
+
+        import dsnls.cli as cli
+
+        pin_cpus(2)
+
+        def no_append(path, mode="r", *args, **kwargs):
+            if mode == "a":
+                raise OSError(28, "No space left on device")
+            return builtins.open(path, mode, *args, **kwargs)
+        monkeypatch.setattr(cli, "open", no_append, raising=False)
+        out = tmp_path / "full"
+        assert run([*self.ARGV, "--out", str(out)]) == EXIT_IO
+        err = capfd.readouterr().err
+        assert "i/o error: [Errno 28] No space left on device\n" in err
+        assert re.search(r"^i/o error: the trajectory writer process \d+ could not append to ",
+                         err, re.MULTILINE)
+        assert children() == []
+        assert not (out / "trajectory.csv").exists()
 
 
 class TestErgodicCli:

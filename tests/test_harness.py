@@ -8,6 +8,7 @@ import pytest
 from dsnls.diagnostics import charge_limit_discrete, discrete_charge
 from dsnls.harness import (
     ExperimentConfig,
+    WorkerDied,
     charge_experiment,
     ergodic_experiment,
     jackknife_se,
@@ -226,10 +227,12 @@ class TestRunEnsemble:
 
     def test_dead_worker_fails_the_run(self, pin_cpus):
         # a worker killed from outside (say, out of memory) must end the run,
-        # not leave it waiting for the lost chunk
+        # not leave it waiting for the lost chunk, and with the WorkerDied
+        # that cli maps to its exit code rather than the pool's own error
         pin_cpus(2)
-        with pytest.raises(BrokenProcessPool):
+        with pytest.raises(WorkerDied, match=r"^the pool worker process died ") as died:
             _map_chunks(_exit_in_worker, [_config(M=2)], 1)
+        assert isinstance(died.value.__cause__, BrokenProcessPool)
 
     @pytest.mark.parametrize("J", [2, 9, 1000])
     def test_integrate_equals_column_zero_of_a_batch(self, J):
