@@ -17,11 +17,11 @@ def _pin_blas_threads() -> tuple:
 
     numpy and scipy each bundle an OpenBLAS that reads the thread variables
     once, when it loads, and by default starts a busy-waiting worker thread
-    for each further core.  dsnls's parallelism is its fork pool of chunks
-    and its forked noise producer, which inherit this setting, and no thread
-    count changes a CSV byte.  Once numpy has loaded, a variable set here
-    would no longer take effect, so none is set and the line says the values
-    were found after.
+    for each further core.  dsnls's parallelism is its forked chunk workers,
+    noise producer and trajectory writer, which inherit this setting, and no
+    thread count changes a CSV byte.  Once numpy has loaded, a variable set
+    here would no longer take effect, so none is set and the line says the
+    values were found after.
     """
     found = {k: _os.environ[k] for k in _THREAD_VARS if k in _os.environ}
     tags = dict.fromkeys(found, " (user)")

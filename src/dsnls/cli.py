@@ -7,11 +7,11 @@ directory.  Every run writes the statistics tables as CSV plus one plain-text
 manifest; re-running the same config and seed reproduces the CSV bytes.
 
 Exit codes: 0 success, 2 config/usage error, 3 numerical blow-up,
-4 diagnose-mode check failure, 5 I/O error, 6 a worker process died (a pool
+4 diagnose-mode check failure, 5 I/O error, 6 a worker process died (a chunk
 worker, the noise producer or the trajectory writer).  A blow-up still
 writes a partial manifest that names the step and the realization that
 failed, and the norm of that realization's last finite state; a dead worker
-one that names the process and its exit status.
+one that names the process, its pid and its exit status.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ def _write_snapshots(path: Path, snapshots, nodes) -> None:
             fh.write(_snapshot_lines(*snapshot, nodes))
 
 
-def _append_snapshots(path: Path, token: int, snapshots, nodes) -> int:
-    """The trajectory writer process (`harness.fork_child` runs it): format
+def _append_snapshots(token: int, _to_parent: int, path: Path, snapshots, nodes) -> int:
+    """The trajectory writer process (`harness.Child` runs it): format
     `snapshots` in memory, then, on a token, append them to `path`; its exit
     code, EXIT_IO if the append fails.  At EOF without a token, which the
     parent sends only once it has written and closed the file's first part,
@@ -113,7 +113,7 @@ def _write_trajectory(path: Path, steps, tau: float, states) -> dict:
     manifest's `trajectory_writers` line.
 
     With two or more snapshots and two or more usable CPUs, a writer process
-    forked with `harness.fork_child` formats the second half of the
+    forked as a `harness.Child` formats the second half of the
     snapshots in its own memory while this process writes the header and
     the first half.  Once this process has closed the file it sends a
     token, and the writer appends its half.  Both halves go through
@@ -127,23 +127,21 @@ def _write_trajectory(path: Path, steps, tau: float, states) -> dict:
     if not half:
         _write_snapshots(path, snapshots, nodes)
         return {"trajectory_writers": "1"}
-    token_r, token = os.pipe()
-    pid = harness.fork_child(_append_snapshots, (path, token_r, snapshots[half:], nodes),
-                             child_fds=(token_r,), parent_fds=(token,))
+    writer = harness.Child("trajectory writer process", _append_snapshots, path,
+                           snapshots[half:], nodes)
     try:
         _write_snapshots(path, snapshots[:half], nodes)
         try:
-            os.write(token, b"a")
+            os.write(writer.to_child, b"a")
         except BrokenPipeError:
             pass  # the writer has died; reaping it says how
     finally:
-        os.close(token)
-        code = harness.reap_child(pid)
+        code = writer.close()
     if code:
         path.unlink(missing_ok=True)
         if code == EXIT_IO:
-            raise OSError(f"the trajectory writer process {pid} could not append to {path}")
-        raise WorkerDied(f"trajectory writer process {pid}", code)
+            raise OSError(f"the trajectory writer process {writer.pid} could not append to {path}")
+        raise writer.died()
     return {"trajectory_writers": "2"}
 
 

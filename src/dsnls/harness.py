@@ -7,9 +7,9 @@ affects the numbers.  Re-running a config reproduces the table bit-for-bit.
 Every ensemble splits its realizations into chunks, at most `MAX_CHUNK`
 (256) a chunk by default, and `_map_chunks` runs each experiment's per-chunk
 function (config, forcing) on them, `forcing` being the chunk's
-`batch_forcing` source: in a fork pool on the usable CPUs when there is more
-than one chunk and more than one CPU (`taskset -c 0` gives one), in this
-process otherwise.  A lone chunk on two or more CPUs has its noise drawn in
+`batch_forcing` source: in forked chunk worker processes on the usable CPUs
+when there is more than one chunk and more than one CPU (`taskset -c 0`
+gives one), in this process otherwise.  A lone chunk on two or more CPUs has its noise drawn in
 a forked producer process on the CPU the chunk leaves idle.  The per-chunk
 functions drive one chunk each through `_sweep`, which starts every column
 from Ψ⁰, feeds column i from realization i's own counter-based noise stream
@@ -30,7 +30,9 @@ from __future__ import annotations
 import itertools
 import mmap
 import os
+import pickle
 import platform
+import signal
 import struct
 import time
 import warnings
@@ -41,7 +43,7 @@ import scipy
 
 from . import _BLAS_THREADS, __version__
 from .diagnostics import charge_limit_discrete, discrete_charge
-from .integrator import column_norm2, make_propagator, march, nonlinear_step, step
+from .integrator import BlowUpError, column_norm2, make_propagator, march, nonlinear_step, step
 from .model import (
     GridSpec,
     ModelParams,
@@ -68,8 +70,7 @@ __all__ = [
     "batch_forcing",
     "ForcingSource",
     "WorkerDied",
-    "fork_child",
-    "reap_child",
+    "Child",
     "noise_lines",
     "charge_experiment",
     "ergodic_experiment",
@@ -316,36 +317,73 @@ def _map_chunks(fn, configs, chunk_size):
     manifest lines saying how they ran, the noise lines summed over chunks.
 
     With more than one chunk and more than one usable CPU the chunks run in
-    a fork pool of min(CPUs, chunks) workers; otherwise they run here, one
-    after another, and a lone chunk may draw its noise in a producer
-    process (`batch_forcing`).  Results come back in chunk order
-    (`Executor.map`), so a `BlowUpError` names the step and realization a
-    serial loop over the same chunks would name.  A worker that dies raises
-    `WorkerDied` (from the pool's `BrokenProcessPool`) where a
-    `multiprocessing.Pool` would wait for it forever.
+    min(CPUs, chunks) forked worker processes (`_fork_chunks`); otherwise
+    they run here, one after another, and a lone chunk may draw its noise in
+    a producer process (`batch_forcing`).
     """
     spans = [(config, lo, hi) for config in configs for lo, hi in _chunks(config.M, chunk_size)]
     tasks = [(fn, config, lo, hi, len(spans) == 1) for config, lo, hi in spans]
     cpus = usable_cpus()
     workers = min(cpus, len(tasks))
     if workers > 1:
-        # imported here, so that a single chunk never loads multiprocessing
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        # fork: a worker starts with numpy and LAPACK loaded, where spawn
-        # would pay the 0.2 s import of dsnls again in each
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            try:
-                results = list(pool.map(_run_chunk, tasks))
-            except BrokenProcessPool as exc:
-                raise WorkerDied("pool worker process") from exc
+        results = _fork_chunks(tasks, workers)
     else:
         results = [_run_chunk(task) for task in tasks]
     rows, timers = zip(*results)
     return list(rows), {"cpus": str(cpus), "chunks": str(len(tasks)), "workers": str(workers),
                         **noise_lines(timers)}
+
+
+def _work(from_parent: int, to_parent: int, tasks) -> None:
+    """The life of a chunk worker (`Child` runs it): `_run_chunk` on each of
+    its (index, task) pairs, then one pickled (results, blow-up) on
+    `to_parent`, the blow-up None or, at the first `BlowUpError`, its
+    (index, step, realization, last finite norm) as plain values."""
+    results, blowup = [], None
+    for index, task in tasks:
+        try:
+            results.append(_run_chunk(task))
+        except BlowUpError as exc:
+            blowup = (index, exc.step_index, exc.realization, exc.last_finite_norm)
+            break
+    with open(to_parent, "wb") as fh:
+        pickle.dump((results, blowup), fh)
+
+
+def _fork_chunks(tasks, workers: int) -> list:
+    """[_run_chunk(task) for task in tasks], run by `workers` forked chunk
+    workers, worker w on tasks w, w + workers, ... (`_work`); none runs here,
+    so this process never holds a chunk's forcing.
+
+    Every payload is read to EOF and every worker reaped: one that exits
+    non-zero, its payload short or whole, raises `WorkerDied`, and one that
+    exits 0 has written its whole payload.  Then the lowest-index chunk's
+    `BlowUpError`, the one a serial loop raises, is raised again.  On any
+    failure, `KeyboardInterrupt` included, the workers not yet reaped are
+    killed and reaped.
+    """
+    children = []
+    try:
+        for w in range(workers):
+            children.append(Child("chunk worker process", _work, [*enumerate(tasks)][w::workers]))
+        payloads = []
+        for child in children:
+            with open(child.from_child, "rb", closefd=False) as fh:
+                payload = fh.read()
+            if child.close():
+                raise child.died()
+            payloads.append(pickle.loads(payload))
+    except BaseException:
+        for child in children:
+            child.close(kill=True)
+        raise
+    blowups = [blowup for _, blowup in payloads if blowup is not None]
+    if blowups:
+        raise BlowUpError(*min(blowups)[1:])
+    results = [None] * len(tasks)
+    for w, (done, _) in enumerate(payloads):
+        results[w::workers] = done
+    return results
 
 
 def _ensemble_manifest(config: ExperimentConfig, t0: float, run_info: dict,
@@ -380,75 +418,89 @@ def _fill(block: np.ndarray, streams) -> float:
 
 class WorkerDied(RuntimeError):
     """A process dsnls started to share a run's work died before it ended:
-    a pool worker, the noise producer or the trajectory writer.
+    a chunk worker, the noise producer or the trajectory writer.
 
     `process` names it and `status` says how it ended, from its exit code
-    `code`: -N when signal N killed it, None when not known (a pool worker).
+    `code`: -N when signal N killed it.
     """
 
-    def __init__(self, process: str, code: int | None = None):
+    def __init__(self, process: str, code: int):
         self.process = process
-        if code is None:
-            self.status = "exit status not reported"
-        elif code < 0:
-            self.status = f"killed by signal {-code}"
-        else:
-            self.status = f"exit status {code}"
+        self.status = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
         super().__init__(f"the {process} died ({self.status})")
 
 
-def fork_child(body, args: tuple, child_fds: tuple, parent_fds: tuple) -> int:
-    """Fork a process that runs body(*args) and exits; return its pid.
+class Child:
+    """A process forked to run body(from_parent, to_parent, *args) and exit,
+    and the pipe ends this process keeps to it: it writes to `to_child`,
+    which the child reads as `from_parent`, and reads from `from_child`,
+    which the child writes as `to_parent`.
 
-    `child_fds` are the pipe ends only the child uses and `parent_fds` the
-    ends only this process uses.  Each side closes the other's ends, so
-    either reads EOF once the other has closed them or died; all of them are
-    closed here if the fork fails.  The child exits with body's return value
-    (0 for None), or 1 if body raises: after writing the traceback straight
-    to file descriptor 2, or quietly on `KeyboardInterrupt`.  It ends in
+    Each side closes the other's ends, so either reads EOF once the other
+    has closed them or died.  The child exits with body's return value (0
+    for None), or 1 if body raises: after writing the traceback straight to
+    file descriptor 2, or quietly on `KeyboardInterrupt`.  It ends in
     `os._exit`, so it never unwinds into the caller's frames and never
-    flushes the stdio buffers it inherited.  Reap it with `reap_child`.
+    flushes the stdio buffers it inherited.  `name` is what `died` calls it,
+    with its pid.  Call `close` on every exit.
     """
-    try:
-        pid = os.fork()
-    except OSError:
-        for fd in (*child_fds, *parent_fds):
-            os.close(fd)
-        raise
-    if pid:
-        for fd in child_fds:
-            os.close(fd)
-        return pid
-    code = 1
-    try:
-        for fd in parent_fds:
-            os.close(fd)
-        code = body(*args) or 0
-    except KeyboardInterrupt:
-        pass  # the whole process group was interrupted
-    except BaseException:  # reported here: a forked child must never unwind into the caller
-        import traceback
 
-        os.write(2, traceback.format_exc().encode())
-    finally:
-        os._exit(code)
+    def __init__(self, name: str, body, *args):
+        self.name = name
+        self.code = None
+        from_parent, self.to_child = os.pipe()
+        self.from_child, to_parent = os.pipe()
+        ends = (from_parent, to_parent)
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (*ends, self.to_child, self.from_child):
+                os.close(fd)
+            raise
+        if self.pid:
+            for fd in ends:
+                os.close(fd)
+            return
+        code = 1
+        try:
+            os.close(self.to_child)
+            os.close(self.from_child)
+            code = body(*ends, *args) or 0
+        except KeyboardInterrupt:
+            pass  # the whole process group was interrupted
+        except BaseException:  # reported here: a forked child must never unwind into the caller
+            import traceback
 
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            os._exit(code)
 
-def reap_child(pid: int) -> int:
-    """Wait for the child `pid` to end and return its exit code, -N if
-    signal N killed it.  A `KeyboardInterrupt` during the wait is raised
-    again once the child is reaped."""
-    try:
-        _, status = os.waitpid(pid, 0)
-    except KeyboardInterrupt:
-        os.waitpid(pid, 0)
-        raise
-    return os.waitstatus_to_exitcode(status)
+    def close(self, kill: bool = False) -> int:
+        """Close this process's pipe ends, SIGKILL the child if `kill`, wait
+        for it to end and return its exit code, -N if signal N killed it; the
+        same code again on a later call.  A `KeyboardInterrupt` during the
+        wait is raised again once the child is reaped."""
+        if self.code is None:
+            if kill:
+                os.kill(self.pid, signal.SIGKILL)
+            os.close(self.to_child)
+            os.close(self.from_child)
+            try:
+                _, status = os.waitpid(self.pid, 0)
+            except KeyboardInterrupt:
+                self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+                raise
+            self.code = os.waitstatus_to_exitcode(status)
+        return self.code
+
+    def died(self) -> WorkerDied:
+        """The `WorkerDied` naming the child and its exit code, once reaped."""
+        return WorkerDied(f"{self.name} {self.pid}", self.close())
 
 
 def _produce(free: int, ready: int, config: ExperimentConfig, tau: float, n_steps: int,
              realizations, block: np.ndarray, spans) -> None:
-    """The life of a producer process (`fork_child` runs it).
+    """The life of a producer process (`Child` runs it).
 
     It opens the streams, so numpy.random and the generator state live only
     here, and says so with a one-byte token.  It fills each block privately,
@@ -482,10 +534,9 @@ class ForcingSource:
     def __init__(self, config: ExperimentConfig, tau: float, n_steps: int, realizations,
                  alone: bool):
         self.realizations = realizations
-        self.producer = False
         self.noise_s = self.noise_wait_s = 0.0
         self.normals = 0
-        self._pid = self._free = self._ready = None
+        self._producer = None
         if not config.params.epsilon > 0.0:
             self._rows = itertools.repeat(None, n_steps)
             return
@@ -497,25 +548,17 @@ class ForcingSource:
             # one block shared with the producer: the only block this process holds
             shared = mmap.mmap(-1, np.dtype(complex).itemsize * shape[0] * shape[1] * shape[2])
             block = np.frombuffer(shared, dtype=complex).reshape(shape)
-            self._fork(config, tau, n_steps, realizations, block, spans)
+            self._producer = Child("noise producer process", _produce, config, tau, n_steps,
+                                   realizations, block, spans)
+            try:
+                self._receive(1)  # the streams are open, as on the in-process path
+            except BaseException:
+                self.close()
+                raise
             self._rows = self._rows_from_producer(block, spans)
         else:
             streams = _open_streams(config, tau, n_steps, realizations)
             self._rows = self._rows_here(streams, np.empty(shape, dtype=complex), spans)
-
-    def _fork(self, config, tau, n_steps, realizations, block, spans) -> None:
-        free_r, free_w = os.pipe()
-        ready_r, ready_w = os.pipe()
-        self._pid = fork_child(_produce, (free_r, ready_w, config, tau, n_steps, realizations,
-                                          block, spans),
-                               child_fds=(free_r, ready_w), parent_fds=(free_w, ready_r))
-        self._free, self._ready = free_w, ready_r
-        self.producer = True
-        try:
-            self._receive(1)  # the streams are open, as on the in-process path
-        except BaseException:
-            self.close()
-            raise
 
     def _rows_here(self, streams, buffer: np.ndarray, spans):
         for rows in spans:
@@ -527,7 +570,7 @@ class ForcingSource:
     def _rows_from_producer(self, block: np.ndarray, spans):
         for rows in spans:
             try:
-                os.write(self._free, b"f")  # the rows of the last block are spent
+                os.write(self._producer.to_child, b"f")  # the rows of the last block are spent
             except BrokenPipeError:
                 pass  # the producer has died; `_receive` reads its EOF
             self.noise_s += struct.unpack("d", self._receive(8))[0]
@@ -538,12 +581,11 @@ class ForcingSource:
         """The producer's next token, of `size` bytes, timed as waiting; a
         `WorkerDied` with its exit status if it died instead."""
         t0 = time.perf_counter()
-        token = os.read(self._ready, size)
+        token = os.read(self._producer.from_child, size)
         self.noise_wait_s += time.perf_counter() - t0
         if len(token) == size:
             return token
-        pid, self._pid = self._pid, None
-        raise WorkerDied(f"noise producer process {pid}", reap_child(pid))
+        raise self._producer.died()
 
     def __iter__(self):
         return self
@@ -559,19 +601,14 @@ class ForcingSource:
 
     def close(self) -> None:
         """Close the pipes to the producer, which then exits, and reap it."""
-        for fd in (self._free, self._ready):
-            if fd is not None:
-                os.close(fd)
-        self._free = self._ready = None
-        if self._pid is not None:
-            pid, self._pid = self._pid, None
-            reap_child(pid)
+        if self._producer is not None:
+            self._producer.close()
 
     def timers(self) -> dict:
         """Where the noise was drawn, the seconds spent drawing and projecting
         it (timed per block, where the work happens), the seconds this
         process waited for a producer, and the normals drawn."""
-        return {"noise": "producer process" if self.producer else "in process",
+        return {"noise": "in process" if self._producer is None else "producer process",
                 "noise_s": self.noise_s, "noise_wait_s": self.noise_wait_s,
                 "normals": self.normals}
 
@@ -602,7 +639,7 @@ def batch_forcing(config: ExperimentConfig, tau: float, n_steps: int, realizatio
     The blocks are filled in this process as the rows are taken, unless the
     batch is `alone` (the run's only task, so a second CPU would idle), spans
     more than one block and this process may run on two or more CPUs
-    (`usable_cpus`).  Then a producer process forked with `os.fork` opens the
+    (`usable_cpus`).  Then a producer process forked as a `Child` opens the
     streams and fills block k + 1 while the caller marches block k, handing
     each over through one shared block paced by tokens on two pipes
     (`_produce`).  A producer that dies raises `WorkerDied` with its exit

@@ -104,10 +104,6 @@ class BlowUpError(RuntimeError):
         self.last_finite_norm = last_finite_norm
         super().__init__(f"non-finite state after step {step_index} (realization {realization})")
 
-    def __reduce__(self):
-        # pickled by a pool worker: rebuild from the step, realization and norm
-        return type(self), (self.step_index, self.realization, self.last_finite_norm)
-
 
 def tridiag_factor(J: int, diag, off):
     """Forward-elimination factors (mult, piv) for the constant tridiagonal

@@ -30,8 +30,9 @@ def children():
 
 @pytest.fixture(autouse=True)
 def no_child_left():
-    """Fail a test that leaves a child process behind (a noise producer or a
-    pool worker), and kill and reap what it left, so the next test starts clean."""
+    """Fail a test that leaves a child process behind (a chunk worker, the
+    noise producer or the trajectory writer), and kill and reap what it left,
+    so the next test starts clean."""
     yield
     if not any(_TASKS.glob("*/children")):
         return  # no /proc, or a kernel without the children files

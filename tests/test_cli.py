@@ -4,6 +4,7 @@ import platform
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy
@@ -687,29 +688,22 @@ def test_cli_import_leaves_scipy_special_unloaded():
     assert _python_c("import sys, dsnls.cli; print('scipy.special' in sys.modules)") == "False"
 
 
-def test_single_chunk_runs_leave_multiprocessing_unloaded(tmp_path):
-    # only a run of more than one chunk pays for the pool's import
-    out = tmp_path / "one-chunk"
-    assert _python_c(
-        "import sys, dsnls.cli\n"
-        "print('multiprocessing' in sys.modules)\n"
-        "dsnls.cli.run(['charge', '--preset', 'fig1b', '--set', 'M=2', '--set', 'T=2^-5', "
-        f"'--out', {str(out)!r}])\n"
-        "print('multiprocessing' in sys.modules)") == "False\nwrote " + str(out) + "\nFalse"
-
-
-@pytest.mark.parametrize("command", ["simulate", "simulate-j1000", "charge", "order"])
+@pytest.mark.parametrize("command",
+                         ["simulate", "simulate-j1000", "charge", "charge-2chunks", "order"])
 def test_commands_leave_heavy_modules_unloaded(command, tmp_path):
     # each would add its import time and memory to every run: scipy.special;
-    # scipy.linalg's __init__, which pulls in numpy.f2py and numpy.testing; and,
-    # on a run of one chunk, the pool's multiprocessing.  simulate-j1000 writes
-    # three snapshots, so on two CPUs it forks the trajectory writer.
-    heavy = ("scipy.special", "scipy.linalg", "numpy.f2py", "numpy.testing", "multiprocessing")
+    # scipy.linalg's __init__, which pulls in numpy.f2py and numpy.testing; and
+    # a process pool's multiprocessing and concurrent.futures.  On two CPUs
+    # simulate-j1000, with three snapshots, forks the trajectory writer, and
+    # charge-2chunks forks two chunk workers.
+    heavy = ("scipy.special", "scipy.linalg", "numpy.f2py", "numpy.testing", "multiprocessing",
+             "concurrent.futures")
     argv = {
         "simulate": ["simulate", "--preset", "fig1b", "--set", "kind=simulate"],
         "simulate-j1000": ["simulate", "--preset", "fig1b", "--set", "kind=simulate",
                            "--set", "J=1000", "--set", "tau=2^-10"],
         "charge": ["charge", "--preset", "fig1b", "--set", "M=2"],
+        "charge-2chunks": ["charge", "--preset", "fig1b", "--set", "M=2", "--chunk-size", "1"],
         "order": ["order", "--preset", "fig4-stoch", "--set", "M=2"],
     }[command] + ["--set", "T=2^-5", "--out", str(tmp_path / command)]
     lines = _python_c(
@@ -738,22 +732,50 @@ def test_lapack_routines_are_scipy_linalg_lapacks(first):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_blowup_in_a_worker_names_the_serial_step(tmp_path, capsys, pin_cpus):
     # here realization 0 blows up at step 1452 and realization 1 at step 567,
-    # so the worker on chunk 1 fails long before the one on chunk 0; results
-    # gathered in chunk order still name what the serial loop names
-    import multiprocessing
-
+    # so the worker on chunk 1 fails long before the one on chunk 0; the
+    # lowest-index failing chunk still names what the serial loop names, and
+    # the norm crosses the worker's pipe unchanged
     cfg = tmp_path / "boom.cfg"
     cfg.write_text(TINY_CHARGE)
     argv = ["charge", "--config", str(cfg), "--set", "epsilon=3e153", "--set", "M=4",
             "--set", "T=60", "--seed", "8", "--chunk-size", "1"]
+    norms = []
     for cpus in (1, 2):
         pin_cpus(cpus)
         capsys.readouterr()
         assert run([*argv, "--out", str(tmp_path / f"cpus{cpus}")]) == EXIT_BLOWUP
         assert capsys.readouterr().err == (
             "numerical blow-up: non-finite state after step 1452 (realization 0)\n")
-        assert multiprocessing.active_children() == []
         _assert_blowup_manifest(tmp_path / f"cpus{cpus}", "charge", step=1452, realization=0)
+        norms.append(_manifest_lines(tmp_path / f"cpus{cpus}")["last_finite_norm"])
+    assert norms[0] == norms[1]
+    assert 1e154 < float(norms[0]) < float("inf")
+
+
+@pytest.mark.skipif(not Path(f"/proc/self/task/{os.getpid()}/children").is_file(),
+                    reason="finds the workers in /proc/self/task/*/children")
+def test_killed_chunk_worker_exits_6(tmp_path, capsys, pin_cpus, children, monkeypatch):
+    # the worker on chunk 0 (two realizations) is SIGKILLed while the one on
+    # chunk 1 (one realization) still runs: the run names the dead worker,
+    # and kills and reaps the other rather than wait for it
+    from dsnls import harness
+
+    def charge_or_stall(psi, h, _fn=harness.discrete_charge):
+        if psi.shape[1] == 2:
+            os.kill(os.getpid(), 9)
+        time.sleep(20)
+        return _fn(psi, h)
+    monkeypatch.setattr(harness, "discrete_charge", charge_or_stall)
+    pin_cpus(2)
+    out = tmp_path / "killed"
+    t0 = time.perf_counter()
+    assert run(["charge", "--preset", "fig1b", "--set", "M=3", "--set", "T=2^-5",
+                "--chunk-size", "2", "--out", str(out)]) == EXIT_WORKER
+    assert time.perf_counter() - t0 < 10
+    assert re.fullmatch(r"worker died: the chunk worker process \d+ died "
+                        r"\(killed by signal 9\)\n", capsys.readouterr().err)
+    assert children() == []
+    _assert_worker_died_manifest(out, "charge", r"chunk worker process \d+", "killed by signal 9")
 
 
 def _assert_partial_manifest(out, command, *failure) -> str:
@@ -803,7 +825,7 @@ class TestNoiseProducer:
         argv = self.CASES[command]
         runs = [(1, [], "in process"), (2, [], "producer process")]
         if command != "simulate":
-            runs.append((2, ["--chunk-size", "3"], "in process"))  # two pool workers
+            runs.append((2, ["--chunk-size", "3"], "in process"))  # two chunk workers
         expected = None
         for cpus, flags, noise in runs:
             pin_cpus(cpus)
