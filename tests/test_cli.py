@@ -688,6 +688,17 @@ def test_cli_import_leaves_scipy_special_unloaded():
     assert _python_c("import sys, dsnls.cli; print('scipy.special' in sys.modules)") == "False"
 
 
+def test_single_chunk_runs_leave_multiprocessing_unloaded(tmp_path):
+    # a run of one chunk forks no worker, and no run imports multiprocessing
+    out = tmp_path / "one-chunk"
+    assert _python_c(
+        "import sys, dsnls.cli\n"
+        "print('multiprocessing' in sys.modules)\n"
+        "dsnls.cli.run(['charge', '--preset', 'fig1b', '--set', 'M=2', '--set', 'T=2^-5', "
+        f"'--out', {str(out)!r}])\n"
+        "print('multiprocessing' in sys.modules)") == "False\nwrote " + str(out) + "\nFalse"
+
+
 @pytest.mark.parametrize("command",
                          ["simulate", "simulate-j1000", "charge", "charge-2chunks", "order"])
 def test_commands_leave_heavy_modules_unloaded(command, tmp_path):
