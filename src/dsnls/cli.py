@@ -33,6 +33,7 @@ from .harness import (
     base_manifest,
     batch_forcing,
     charge_experiment,
+    ensemble_manifest,
     ergodic_experiment,
     ms_error,
     noise_lines,
@@ -118,8 +119,8 @@ def _write_trajectory(path: Path, steps, tau: float, states) -> dict:
     the first half.  Once this process has closed the file it sends a
     token, and the writer appends its half.  Both halves go through
     `_snapshot_lines`, so the bytes do not depend on the split.  A writer
-    that dies, or exits non-zero, removes the file and raises `WorkerDied`,
-    or `OSError` if its append failed.
+    that dies, or exits non-zero, raises `WorkerDied`, or `OSError` if its
+    append failed; `_emit` then removes the file.
     """
     nodes = [str(j) for j in range(1, states.shape[1] + 1)]
     snapshots = list(zip(steps.tolist(), (steps * tau).tolist(), states))
@@ -138,7 +139,6 @@ def _write_trajectory(path: Path, steps, tau: float, states) -> dict:
     finally:
         code = writer.close()
     if code:
-        path.unlink(missing_ok=True)
         if code == EXIT_IO:
             raise OSError(f"the trajectory writer process {writer.pid} could not append to {path}")
         raise writer.died()
@@ -160,7 +160,9 @@ def _write_manifest(path: Path, manifest: dict, config_text: str | None,
     path.write_text("\n".join(lines) + "\n")
 
 
-def _load_config(args):
+def _load_config(args, command: str):
+    """The config of --config or --preset with the overrides applied; a
+    `ConfigError` unless its kind is `command`."""
     if args.preset and args.config:
         raise ConfigError("give either --config or --preset, not both")
     if args.preset:
@@ -178,7 +180,12 @@ def _load_config(args):
     overrides = list(args.set or [])
     if args.seed is not None:
         overrides.append(f"noise.seed={args.seed}")
-    return parse_config(text, overrides)
+    config = parse_config(text, overrides)
+    if config.kind != command:
+        raise ConfigError(
+            f"config kind '{config.kind}' does not match subcommand '{command}' "
+            f"(use --set kind={command} to retarget)")
+    return config
 
 
 def _out_dir(args) -> Path:
@@ -190,10 +197,15 @@ def _out_dir(args) -> Path:
 def _emit(out: Path, manifest: dict, config_text: str | None, command: str, overrides,
           *tables) -> None:
     """Write each (writer, file name, *data) table, then the manifest with
-    the lines a writer returns and their write_s."""
+    the lines a writer returns and their write_s.  A writer that raises has
+    its file removed, so no partial table is left behind."""
     t0 = time.perf_counter()
     for write, name, *data in tables:
-        manifest.update(write(out / name, *data) or {})
+        try:
+            manifest.update(write(out / name, *data) or {})
+        except BaseException:
+            (out / name).unlink(missing_ok=True)
+            raise
     manifest["write_s"] = f"{time.perf_counter() - t0:.3f}"
     _write_manifest(out / "manifest.txt", manifest, config_text, command, overrides)
 
@@ -201,10 +213,10 @@ def _emit(out: Path, manifest: dict, config_text: str | None, command: str, over
 @contextmanager
 def _partial_manifest(out: Path, config, command: str, overrides):
     """Let a `BlowUpError` or a `WorkerDied` through to its exit code, after
-    writing a partial manifest: the provenance and config lines, then
-    `status = blow-up` with the step and realization that failed and that
-    realization's last finite norm ‖Ψⁿ⁻¹‖, or `status = worker-died` with
-    the process that died and its exit status."""
+    writing a partial manifest: the provenance lines; `status = blow-up`
+    with the step and realization that failed and that realization's last
+    finite norm ‖Ψⁿ⁻¹‖, or `status = worker-died` with the process that
+    died and its exit status; then the config echo."""
     try:
         yield
     except (BlowUpError, WorkerDied) as exc:
@@ -220,21 +232,15 @@ def _partial_manifest(out: Path, config, command: str, overrides):
 
 
 def _cmd_experiment(args, command: str) -> int:
-    config = _load_config(args)
-    if config.kind != command:
-        raise ConfigError(
-            f"config kind '{config.kind}' does not match subcommand '{command}' "
-            f"(use --set kind={command} to retarget)")
+    config = _load_config(args, command)
     out = _out_dir(args)
     with _partial_manifest(out, config, command, args.set or []):
         if command == "charge":
             record = charge_experiment(config, chunk_size=args.chunk_size)
         elif command == "ergodic":
             record = ergodic_experiment(config, chunk_size=args.chunk_size)
-        elif command in ("error", "order"):
+        else:  # error or order
             record = ms_error(config, chunk_size=args.chunk_size)
-        else:
-            raise ConfigError(f"unhandled experiment subcommand {command!r}")
     tables = [(_write_csv, f"{command}.csv", record.columns, record.rows)]
     if command == "order":
         fit = order_fit([(tau, err) for tau, _, err, _ in record.rows])
@@ -248,10 +254,7 @@ def _cmd_experiment(args, command: str) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    config = _load_config(args)
-    if config.kind != "simulate":
-        raise ConfigError(
-            f"config kind '{config.kind}' does not match subcommand 'simulate'")
+    config = _load_config(args, "simulate")
     out = _out_dir(args)
     t0 = time.perf_counter()
     psi0 = resolve_initial(config.grid, config.initial)
@@ -262,11 +265,7 @@ def _cmd_simulate(args) -> int:
         with batch_forcing(config, config.tau, config.n_steps, range(1), alone=True) as forcing:
             steps, states = integrate(psi0[:, None], prop, config.params, forcing,
                                       config.n_steps, config.record_stride)
-        wall = time.perf_counter() - t0
-        manifest = base_manifest(config)
-        manifest["wall_time_s"] = f"{wall:.3f}"
-        manifest["realization_steps_per_s"] = f"{config.n_steps / wall:.0f}"
-        manifest.update(noise_lines([forcing.timers()]))
+        manifest = ensemble_manifest(config, t0, noise_lines([forcing.timers()]), 1)
         _emit(out, manifest, serialize_config(config), "simulate", args.set or [],
               (_write_trajectory, "trajectory.csv", steps, config.tau, states[:, :, 0]))
     print(f"wrote {out}")
@@ -277,7 +276,7 @@ def _cmd_diagnose(args) -> int:
     out = _out_dir(args)
     seed = 0 if args.seed is None else args.seed
     rows = run_diagnostic_suite(seed=seed)
-    manifest = {**PROVENANCE, "kind": "diagnose", "seed": str(seed)}
+    manifest = {**PROVENANCE, "seed": str(seed)}
     _emit(out, manifest, None, "diagnose", args.set or [],
           (_write_csv, "diagnostics.csv",
            ("check", "step", "node", "residual", "tolerance", "passed"),

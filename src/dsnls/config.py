@@ -12,12 +12,13 @@ Sections and keys:
     [noise]       P, spectrum, seed
     [time]        tau, T
     [experiment]  kind, M, record_stride, initial, initials, observables,
-                  tau_ladder, tau_ref, horizons
+                  tau_ladder, horizons
 
 `spectrum` is ``power-law(r)`` or ``explicit: v1, v2, ...`` (P entries).
 `initial` names a profile or gives ``explicit: z1, z2, ...`` (J complex
-entries).  Defaults are applied for every omitted optional key and echoed
-into the run manifest.
+entries).  An error or order study's `tau` is its fine reference step.
+Defaults are applied for every omitted optional key and echoed into the
+run manifest's config echo, its one record of the config.
 """
 
 from __future__ import annotations
@@ -98,7 +99,6 @@ _KEYS = (
     ("experiment", "initials", _optional(_parse_str_list, ()), ""),
     ("experiment", "observables", _parse_str_list, "exp-norm2, sin-norm2"),
     ("experiment", "tau_ladder", _parse_number_list, ""),
-    ("experiment", "tau_ref", _optional(_parse_number, None), ""),
     ("experiment", "horizons", _parse_number_list, ""),
 )
 
@@ -183,8 +183,7 @@ def _config_values(config: ExperimentConfig) -> dict:
         "tau": config.tau, "T": config.T, "kind": config.kind, "M": config.M,
         "record_stride": config.record_stride, "initial": config.initial,
         "initials": config.initials, "observables": config.observables,
-        "tau_ladder": config.tau_ladder, "tau_ref": config.tau_ref,
-        "horizons": config.horizons,
+        "tau_ladder": config.tau_ladder, "horizons": config.horizons,
     }
 
 
@@ -202,12 +201,12 @@ def parse_config(text: str, overrides=()) -> ExperimentConfig:
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical text form; parse_config(serialize_config(c)) == c.
 
-    Keys whose value is unset (None or empty) are left out.
+    Keys whose value is empty are left out.
     """
     values = _config_values(config)
     lines, current = [], None
     for section, key, _, _ in _KEYS:
-        if values[key] is None or values[key] == ():
+        if values[key] == ():
             continue
         if section != current:
             lines += ["", f"[{section}]"]

@@ -1,8 +1,8 @@
 """Monte Carlo experiment harness.
 
 Experiments are described by an immutable `ExperimentConfig` and produce a
-`RunRecord`: one statistics table plus a manifest echoing every knob that
-affects the numbers.  Re-running a config reproduces the table bit-for-bit.
+`RunRecord`: one statistics table plus the manifest lines of how it ran.
+Re-running a config reproduces the table bit-for-bit.
 
 Every ensemble splits its realizations into chunks, at most `MAX_CHUNK`
 (256) a chunk by default, and `_map_chunks` runs each experiment's per-chunk
@@ -72,6 +72,7 @@ __all__ = [
     "WorkerDied",
     "Child",
     "noise_lines",
+    "ensemble_manifest",
     "charge_experiment",
     "ergodic_experiment",
     "ms_error",
@@ -124,7 +125,8 @@ class ExperimentConfig:
 
     `initial` (and the ergodic `initials`) are profile descriptors understood
     by `resolve_initial`; `spectrum_desc` remembers how `noise.eta` was built
-    so configs serialize back to their source form.
+    so configs serialize back to their source form.  An error or order
+    study's `tau` is its fine reference step.
     """
 
     kind: str
@@ -139,7 +141,6 @@ class ExperimentConfig:
     initials: tuple = ()
     observables: tuple = ("exp-norm2", "sin-norm2")
     tau_ladder: tuple = ()
-    tau_ref: float = None
     horizons: tuple = ()
     record_stride: int = 1
 
@@ -160,18 +161,12 @@ class ExperimentConfig:
             if name not in OBSERVABLES:
                 raise ValueError(f"unknown observable {name!r}")
         if self.kind in ("error", "order"):
-            if self.tau_ref is None:
-                raise ValueError(f"kind={self.kind} needs tau_ref")
-            if self.tau != self.tau_ref:
-                raise ValueError(
-                    f"kind={self.kind} drives the reference scheme, so tau ({self.tau}) "
-                    f"must equal tau_ref ({self.tau_ref})")
             if not self.tau_ladder:
                 raise ValueError(f"kind={self.kind} needs a tau_ladder")
             for tc in self.tau_ladder:
-                if tc < self.tau_ref or not _is_integer_multiple(tc, self.tau_ref):
+                if tc < self.tau or not _is_integer_multiple(tc, self.tau):
                     raise ValueError(
-                        f"ladder step {tc} is not an integer multiple of tau_ref={self.tau_ref}")
+                        f"ladder step {tc} is not an integer multiple of tau={self.tau}")
                 if not _is_integer_multiple(self.T, tc):
                     raise ValueError(f"T={self.T} is not an integer multiple of ladder step {tc}")
         if self.kind == "error":
@@ -180,7 +175,7 @@ class ExperimentConfig:
             if abs(max(self.horizons) - self.T) > 1e-12 * max(1.0, self.T):
                 raise ValueError("T must equal the largest horizon")
             for t_h in self.horizons:
-                for tc in (*self.tau_ladder, self.tau_ref):
+                for tc in (*self.tau_ladder, self.tau):
                     if not _is_integer_multiple(t_h, tc):
                         raise ValueError(f"horizon {t_h} is not an integer multiple of {tc}")
         if self.kind == "ergodic":
@@ -210,7 +205,7 @@ def stream_noise(config: ExperimentConfig) -> NoiseSpec:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One statistics table plus the manifest of everything that shaped it."""
+    """One statistics table plus the manifest lines of how it ran."""
 
     kind: str
     columns: tuple
@@ -220,35 +215,12 @@ class RunRecord:
 
 
 def base_manifest(config: ExperimentConfig) -> dict:
-    man = {
-        **PROVENANCE,
-        "kind": config.kind,
-        "alpha": repr(config.params.alpha),
-        "lambda": repr(config.params.lam),
-        "epsilon": repr(config.params.epsilon),
-        "J": repr(config.grid.J),
-        "h": repr(config.grid.h),
-        "P": repr(config.noise.P),
-        "spectrum": config.spectrum_desc,
-        "seed": repr(config.noise.seed),
-        "tau": repr(config.tau),
-        "T": repr(config.T),
-        "M": repr(config.M),
-        "record_stride": repr(config.record_stride),
-        "initial": str(config.initial),
-    }
-    if config.initials:
-        man["initials"] = ", ".join(config.initials)
-        man["observables"] = ", ".join(config.observables)
-    if config.tau_ref is not None:
-        man["tau_ref"] = repr(config.tau_ref)
+    """The provenance lines, and for an error or order run how its output is
+    processed; the config itself is recorded once, in the manifest's config
+    echo (`config.serialize_config`)."""
     if config.kind in ("error", "order"):
-        man["processing"] = "strang: R(tau/2) o Lie^N o R(-tau/2)"
-    if config.tau_ladder:
-        man["tau_ladder"] = ", ".join(repr(t) for t in config.tau_ladder)
-    if config.horizons:
-        man["horizons"] = ", ".join(repr(t) for t in config.horizons)
-    return man
+        return {**PROVENANCE, "processing": "strang: R(tau/2) o Lie^N o R(-tau/2)"}
+    return dict(PROVENANCE)
 
 
 def _sample_mean(samples: np.ndarray):
@@ -305,7 +277,7 @@ def _chunks(total: int, chunk_size):
 def _run_chunk(task):
     """(fn's rows, the noise timers) of one chunk: fn(config, forcing) on the
     chunk's forcing source, which is closed however fn ends.  Every sweep
-    steps config.tau, since an error study's tau equals its tau_ref."""
+    steps config.tau, an error study's reference step."""
     fn, config, lo, hi, alone = task
     with batch_forcing(config, config.tau, config.n_steps, range(lo, hi), alone) as forcing:
         rows = fn(config, forcing)
@@ -386,10 +358,11 @@ def _fork_chunks(tasks, workers: int) -> list:
     return results
 
 
-def _ensemble_manifest(config: ExperimentConfig, t0: float, run_info: dict,
-                       realizations: int) -> dict:
-    """base_manifest plus how the chunks ran, the wall time since t0 and the
-    throughput of `realizations` runs of config.n_steps steps each."""
+def ensemble_manifest(config: ExperimentConfig, t0: float, run_info: dict,
+                      realizations: int) -> dict:
+    """base_manifest plus `run_info` (how the chunks ran, the noise lines),
+    the wall time since t0 and the throughput of `realizations` runs of
+    config.n_steps steps each."""
     wall = time.perf_counter() - t0
     manifest = {**base_manifest(config), **run_info}
     manifest["wall_time_s"] = f"{wall:.3f}"
@@ -710,7 +683,7 @@ def charge_experiment(config: ExperimentConfig, chunk_size=None) -> RunRecord:
         kind="charge",
         columns=("step", "t", "charge_mean", "charge_se", "charge_analytic"),
         rows=rows,
-        manifest=_ensemble_manifest(config, t0, run_info, config.M),
+        manifest=ensemble_manifest(config, t0, run_info, config.M),
         extras={"charge_limit_discrete": limit, "charge0": charge0},
     )
 
@@ -760,14 +733,14 @@ def ergodic_experiment(config: ExperimentConfig, chunk_size=None) -> RunRecord:
         kind="ergodic",
         columns=("t", "initial", "observable", "mean", "se"),
         rows=tuple(rows),
-        manifest=_ensemble_manifest(config, t0, run_info, config.M * len(per_initial)),
+        manifest=ensemble_manifest(config, t0, run_info, config.M * len(per_initial)),
     )
 
 
 def _horizon_steps(config: ExperimentConfig) -> dict:
     """{fine step: horizon} of an error/order config, in step order."""
     horizons = config.horizons if config.kind == "error" else (config.T,)
-    steps = {round(t_h / config.tau_ref): t_h for t_h in horizons}
+    steps = {round(t_h / config.tau): t_h for t_h in horizons}
     return {s: steps[s] for s in sorted(steps)}
 
 
@@ -776,10 +749,10 @@ def _error_chunk(config: ExperimentConfig, forcing: ForcingSource) -> np.ndarray
     feeds, both Strang-processed (see `ms_error`)."""
     grid = config.grid
     params = config.params
-    ratios = [round(tc / config.tau_ref) for tc in config.tau_ladder]
+    ratios = [round(tc / config.tau) for tc in config.tau_ladder]
     h_idx = {s: i for i, s in enumerate(_horizon_steps(config))}
 
-    prop_fine = make_propagator(grid, config.tau_ref, params.alpha)
+    prop_fine = make_propagator(grid, config.tau, params.alpha)
     props = [make_propagator(grid, tc, params.alpha) for tc in config.tau_ladder]
     psi0 = resolve_initial(grid, config.initial)
 
@@ -787,7 +760,7 @@ def _error_chunk(config: ExperimentConfig, forcing: ForcingSource) -> np.ndarray
     sq = np.empty((m, len(ratios), len(h_idx)))
     lam = params.lam
     with np.errstate(over="ignore", invalid="ignore"):  # march reports a blow-up
-        fine0 = nonlinear_step(psi0, -lam, 0.5 * config.tau_ref)
+        fine0 = nonlinear_step(psi0, -lam, 0.5 * config.tau)
         coarse0 = [nonlinear_step(psi0, -lam, 0.5 * tc) for tc in config.tau_ladder]
 
     for n, fine, g in _sweep(config, prop_fine, fine0, forcing):
@@ -802,7 +775,7 @@ def _error_chunk(config: ExperimentConfig, forcing: ForcingSource) -> np.ndarray
                 coarse[c] = step(coarse[c], props[c], params, None if g is None else acc[c])
                 acc[c][:] = 0.0
         if n in h_idx:
-            fine_out = nonlinear_step(fine, lam, 0.5 * config.tau_ref)
+            fine_out = nonlinear_step(fine, lam, 0.5 * config.tau)
             for c, tc in enumerate(config.tau_ladder):
                 diff = fine_out - nonlinear_step(coarse[c], lam, 0.5 * tc)
                 sq[:, c, h_idx[n]] = grid.h * column_norm2(diff)
@@ -812,9 +785,9 @@ def _error_chunk(config: ExperimentConfig, forcing: ForcingSource) -> np.ndarray
 def ms_error(config: ExperimentConfig, chunk_size=None) -> RunRecord:
     """Coupled mean-square errors (h E‖Ψ_ref(T) - Ψ_τ(T)‖²)^{1/2}.
 
-    The reference is the scheme itself at tau_ref; every ladder run consumes
-    the block-sums of the reference's own forcing increments, so the coupling
-    is exact by construction.  `march` checks the reference for blow-up at
+    The reference is the scheme itself at config.tau; every ladder run
+    consumes the block-sums of the reference's own forcing increments, so the
+    coupling is exact by construction.  `march` checks the reference for blow-up at
     every step; the ladder runs share its increments and its growth bound
     ‖Ψⁿ‖ <= ‖Ψ⁰‖ + Σ‖g‖, and are not checked again.
 
@@ -843,7 +816,7 @@ def ms_error(config: ExperimentConfig, chunk_size=None) -> RunRecord:
         kind=config.kind,
         columns=("tau", "T", "error", "error_se"),
         rows=tuple(rows),
-        manifest=_ensemble_manifest(config, t0, run_info, config.M),
+        manifest=ensemble_manifest(config, t0, run_info, config.M),
         extras={"errors": err_table},
     )
 

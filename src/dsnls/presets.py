@@ -71,7 +71,6 @@ def _fig3() -> ExperimentConfig:
         M=100,
         initial="sine",
         tau_ladder=(2.0 ** -10, 2.0 ** -8),
-        tau_ref=2.0 ** -12,
         horizons=(10.0, 20.0, 40.0, 80.0),
     )
 
@@ -88,7 +87,6 @@ def _fig4(epsilon: float) -> ExperimentConfig:
         M=100,
         initial="sine",
         tau_ladder=(2.0 ** -10, 2.0 ** -9, 2.0 ** -8, 2.0 ** -7),
-        tau_ref=2.0 ** -12,
     )
 
 
@@ -101,9 +99,9 @@ PRESETS = {
              _fig2),
     "fig3": ("mean-square error across horizons T=10..80 (h=0.25, coupled reference tau=2^-12)",
              _fig3),
-    "fig4-det": ("deterministic convergence order (T=1, ladder 2^-10..2^-7 vs tau_ref=2^-12)",
+    "fig4-det": ("deterministic convergence order (T=1, ladder 2^-10..2^-7 vs tau=2^-12)",
                  lambda: _fig4(0.0)),
-    "fig4-stoch": ("stochastic convergence order (T=1, ladder 2^-10..2^-7 vs tau_ref=2^-12)",
+    "fig4-stoch": ("stochastic convergence order (T=1, ladder 2^-10..2^-7 vs tau=2^-12)",
                    lambda: _fig4(1.0)),
 }
 

@@ -21,7 +21,7 @@ from dsnls.cli import (
     _write_trajectory,
     run,
 )
-from dsnls.config import ConfigError, parse_config, serialize_config
+from dsnls.config import _KEYS, ConfigError, parse_config, serialize_config
 from dsnls.presets import PRESETS, preset_config
 
 FIG1B_TEXT = """\
@@ -66,6 +66,9 @@ PROVENANCE_LINES = (
     # checks the line's wording in fresh interpreters
     f"blas_threads = {dsnls._BLAS_THREADS}",
 )
+
+#: The config's keys, which a manifest states only in its config echo.
+CONFIG_KEYS = {key for _, key, _, _ in _KEYS}
 
 TINY_CHARGE = """\
 [model]
@@ -227,10 +230,16 @@ class TestCliRuns:
         assert "overrides = epsilon=0" in manifest
         assert "epsilon = 0.0" in manifest
 
-    def test_kind_mismatch_is_config_error(self, tmp_path):
+    def test_kind_mismatch_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "charge.cfg"
         cfg.write_text(TINY_CHARGE)
-        assert run(["ergodic", "--config", str(cfg), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+        for command in ("ergodic", "simulate"):
+            capsys.readouterr()
+            assert run([command, "--config", str(cfg),
+                        "--out", str(tmp_path / command)]) == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                f"config error: config kind 'charge' does not match subcommand '{command}' "
+                f"(use --set kind={command} to retarget)\n")
 
     def test_parse_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -289,7 +298,6 @@ T = 0.25
 kind = order
 M = 1
 tau_ladder = 2^-7, 2^-6, 2^-5
-tau_ref = 2^-9
 """)
         out = tmp_path / "ord"
         assert run(["order", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
@@ -324,7 +332,6 @@ T = 0.5
 kind = error
 M = 2
 tau_ladder = 2^-6
-tau_ref = 2^-8
 horizons = 0.25, 0.5
 """)
         out = tmp_path / "err"
@@ -423,12 +430,18 @@ def test_manifest_records_write_seconds(command, tmp_path):
     # which the manifest rounds to 1 ms; every ensemble also records how its
     # chunks ran
     manifest = dict(line.split(" = ", 1) for line in text.split("\n\n")[0].splitlines())
+    # the config echo is the one record of the config: it reads back to the
+    # config the command ran, and no line of the head repeats one of its keys
+    config = parse_config(text.split("# config echo\n")[1].replace("| ", ""))
+    preset = argv[argv.index("--preset") + 1]
+    overrides = [argv[i + 1] for i, arg in enumerate(argv) if arg == "--set"]
+    assert config == parse_config(serialize_config(preset_config(preset)), overrides)
+    assert not manifest.keys() & CONFIG_KEYS, manifest.keys() & CONFIG_KEYS
     keys = ["realization_steps_per_s"]
     if command != "simulate":
         keys += ["cpus", "chunks", "workers"]
     for key in keys:
         assert re.fullmatch(r"[1-9]\d*", manifest[key]), (key, manifest.get(key))
-    config = parse_config(text.split("# config echo\n")[1].replace("| ", ""))
     realizations = 1 if command == "simulate" else 2 * len(config.initials or [None])
     realization_steps = realizations * config.n_steps
     wall = float(manifest["wall_time_s"])
@@ -441,6 +454,38 @@ def test_manifest_records_write_seconds(command, tmp_path):
     for key in ("noise_s", "noise_wait_s"):
         assert re.fullmatch(r"\d+\.\d{3}", manifest[key]), (key, manifest.get(key))
     assert int(manifest["normals"]) == 2 * 9 * realization_steps
+
+
+@pytest.mark.parametrize("argv, writes, error, code", [
+    (["simulate", "--preset", "fig1b", "--set", "kind=simulate", "--set", "T=2^-2",
+      "--set", "record_stride=4"], "_snapshot_lines", OSError(28, "No space left on device"),
+     EXIT_IO),
+    (["charge", "--preset", "fig1b", "--set", "M=2", "--set", "T=2^-2"], "_fmt",
+     RuntimeError("cannot format"), None),
+], ids=["trajectory.csv", "charge.csv"])
+def test_failed_table_write_leaves_no_file(argv, writes, error, code, tmp_path, pin_cpus,
+                                           monkeypatch):
+    # the third call formatting the table raises, whatever it raises: the
+    # run ends without its table; on one CPU trajectory.csv has one writer
+    import dsnls.cli as cli
+
+    pin_cpus(1)
+    calls = []
+
+    def fail_third(*args, _fn=getattr(cli, writes)):
+        calls.append(1)
+        if len(calls) == 3:
+            raise error
+        return _fn(*args)
+    monkeypatch.setattr(cli, writes, fail_third)
+    out = tmp_path / argv[0]
+    if code is None:
+        with pytest.raises(type(error)):
+            run([*argv, "--out", str(out)])
+    else:
+        assert run([*argv, "--out", str(out)]) == code
+    assert len(calls) == 3
+    assert list(out.iterdir()) == []
 
 
 def test_chunk_size_is_an_ensemble_option(tmp_path, capsys):
@@ -791,11 +836,14 @@ def test_killed_chunk_worker_exits_6(tmp_path, capsys, pin_cpus, children, monke
 
 def _assert_partial_manifest(out, command, *failure) -> str:
     """A failed run leaves a partial manifest and no table: provenance, the
-    `failure` lines and the config echo.  Returns the manifest's text."""
+    `failure` lines and the config echo, the one record of the config.
+    Returns the manifest's text."""
     manifest = (out / "manifest.txt").read_text()
     assert manifest.startswith(f"command = {command}\n")
     for line in (*PROVENANCE_LINES, *failure, "# config echo", f"| kind = {command}"):
         assert f"\n{line}\n" in manifest, line
+    assert parse_config(manifest.split("# config echo\n")[1].replace("| ", "")).kind == command
+    assert not _manifest_lines(out).keys() & CONFIG_KEYS
     assert "write_s" not in manifest
     assert sorted(p.name for p in out.iterdir()) == ["manifest.txt"]
     return manifest

@@ -74,18 +74,13 @@ class TestConfigValidation:
 
     def test_error_kind_needs_nested_ladder(self):
         with pytest.raises(ValueError):
-            _config(kind="error", tau=2.0 ** -8, tau_ref=2.0 ** -8,
+            _config(kind="error", tau=2.0 ** -8,
                     tau_ladder=(3.0 * 2.0 ** -8,), horizons=(1.0,))
 
     def test_error_kind_horizon_alignment(self):
         with pytest.raises(ValueError):
-            _config(kind="error", tau=2.0 ** -8, tau_ref=2.0 ** -8,
+            _config(kind="error", tau=2.0 ** -8,
                     tau_ladder=(2.0 ** -6,), horizons=(0.7, 1.0))
-
-    def test_order_kind_tau_must_equal_ref(self):
-        with pytest.raises(ValueError):
-            _config(kind="order", tau=2.0 ** -6, tau_ref=2.0 ** -8,
-                    tau_ladder=(2.0 ** -6,))
 
     def test_ergodic_needs_positive_spectrum(self):
         with pytest.raises(ValueError):
@@ -94,7 +89,7 @@ class TestConfigValidation:
                     spectrum_desc="explicit: 1, 0")
 
     def test_valid_error_config(self):
-        cfg = _config(kind="error", tau=2.0 ** -8, tau_ref=2.0 ** -8,
+        cfg = _config(kind="error", tau=2.0 ** -8,
                       tau_ladder=(2.0 ** -6, 2.0 ** -7), horizons=(0.5, 1.0))
         assert cfg.n_steps == 256
 
@@ -308,7 +303,6 @@ class TestMsError:
         base = dict(
             kind="order",
             tau=2.0 ** -9,
-            tau_ref=2.0 ** -9,
             tau_ladder=(2.0 ** -7, 2.0 ** -8),
             T=0.25,
             M=3,
@@ -345,15 +339,15 @@ class TestMsError:
         grid, params, noise = cfg.grid, cfg.params, cfg.noise
         lam = params.lam
         n_fine = cfg.n_steps
-        fine_increments = generate_path(noise, cfg.tau_ref, n_fine, 0)
+        fine_increments = generate_path(noise, cfg.tau, n_fine, 0)
         weights = forcing_weights(grid, noise, params.epsilon)
         psi0 = resolve_initial(grid, "sine")
 
-        prop_f = make_propagator(grid, cfg.tau_ref, params.alpha)
-        fine = nonlinear_step(psi0, -lam, cfg.tau_ref / 2)
+        prop_f = make_propagator(grid, cfg.tau, params.alpha)
+        fine = nonlinear_step(psi0, -lam, cfg.tau / 2)
         for n in range(n_fine):
             fine = step(fine, prop_f, params, weights @ fine_increments[n])
-        fine = nonlinear_step(fine, lam, cfg.tau_ref / 2)
+        fine = nonlinear_step(fine, lam, cfg.tau / 2)
 
         coarse_increments = fine_increments.reshape(n_fine // 4, 4, noise.P).sum(axis=1)
         tau_c = 2.0 ** -7
