@@ -15,13 +15,13 @@ def _pin_blas_threads() -> tuple:
     the manifest's `blas_threads` line, which says who set each variable,
     and whether OPENBLAS_NUM_THREADS was set here.
 
-    numpy and scipy each bundle an OpenBLAS that reads the thread variables
-    once, when it loads, and by default starts a busy-waiting worker thread
-    for each further core.  dsnls's parallelism is its forked chunk workers,
-    noise producer and trajectory writer, which inherit this setting, and no
-    thread count changes a CSV byte.  Once numpy has loaded, a variable set
-    here would no longer take effect, so none is set and the line says the
-    values were found after.
+    numpy bundles an OpenBLAS, which also runs dsnls's LAPACK solve; it reads
+    the thread variables once, when it loads, and by default starts a
+    busy-waiting worker thread for each further core.  dsnls's parallelism
+    is its forked chunk workers, noise producer and trajectory writer, which
+    inherit this setting, and no thread count changes a CSV byte.  Once
+    numpy has loaded, a variable set here would no longer take effect, so
+    none is set and the line says the values were found after.
     """
     found = {k: _os.environ[k] for k in _THREAD_VARS if k in _os.environ}
     tags = dict.fromkeys(found, " (user)")
@@ -38,6 +38,14 @@ def _pin_blas_threads() -> tuple:
 
 
 _BLAS_THREADS, _PINNED_HERE = _pin_blas_threads()
+
+import numpy as _numpy  # noqa: E402, F401  (its OpenBLAS reads the pin as it loads)
+
+# OpenBLAS has read the thread variables by now.  Put the environment back as
+# it was found, so that the programs this process starts inherit no pin and
+# make their own choice.
+if _PINNED_HERE:
+    del _os.environ["OPENBLAS_NUM_THREADS"]
 
 __version__ = "0.1.0"
 
@@ -90,10 +98,3 @@ from .harness import (
 )
 from .config import ConfigError, parse_config, serialize_config
 from .presets import preset_config
-
-# Both OpenBLAS copies have read the thread variables by now: numpy's, and
-# the one behind scipy's _flapack, which .integrator loaded.  Put the
-# environment back as it was found, so that the programs this process
-# starts inherit no pin and make their own choice.
-if _PINNED_HERE:
-    del _os.environ["OPENBLAS_NUM_THREADS"]

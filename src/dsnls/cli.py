@@ -277,7 +277,7 @@ def _cmd_diagnose(args) -> int:
     seed = 0 if args.seed is None else args.seed
     rows = run_diagnostic_suite(seed=seed)
     manifest = {**PROVENANCE, "seed": str(seed)}
-    _emit(out, manifest, None, "diagnose", args.set or [],
+    _emit(out, manifest, None, "diagnose", [],
           (_write_csv, "diagnostics.csv",
            ("check", "step", "node", "residual", "tolerance", "passed"),
            [(r.check, r.step, r.node, r.residual, r.tolerance, r.passed) for r in rows]))
@@ -325,7 +325,6 @@ def _build_parser() -> argparse.ArgumentParser:
     diag = sub.add_parser("diagnose", help="machine-precision identity suite")
     diag.add_argument("--out", default="dsnls-out", metavar="DIR")
     diag.add_argument("--seed", type=int, default=None, metavar="N")
-    diag.add_argument("--set", action="append", metavar="KEY=VALUE", help=argparse.SUPPRESS)
     sub.add_parser("presets", help="list available presets")
     return parser
 

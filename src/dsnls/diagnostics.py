@@ -29,8 +29,6 @@ from .integrator import (
     NumericalError,
     _abs2,
     column_norm2,
-    tridiag_factor,
-    tridiag_solve,
 )
 from .model import GridSpec, ModelParams, NoiseSpec, eigenfunction_matrix
 
@@ -287,6 +285,35 @@ def resolve_temporal_reading(sample: TwoFormSample, tau: float, h: float, alpha:
 
 # ---------------------------------------------------------------------------
 # stencil norm bound
+
+
+def tridiag_factor(J: int, diag, off):
+    """Forward-elimination factors (mult, piv) for the constant tridiagonal
+    matrix with `diag` on the diagonal and `off` on both off-diagonals."""
+    dtype = np.result_type(diag, off, float)
+    piv = np.empty(J, dtype=dtype)
+    mult = np.zeros(J, dtype=dtype)
+    piv[0] = diag
+    for k in range(1, J):
+        if piv[k - 1] == 0:
+            raise NumericalError("zero pivot in tridiagonal elimination")
+        mult[k] = off / piv[k - 1]
+        piv[k] = diag - mult[k] * off
+    if piv[J - 1] == 0:
+        raise NumericalError("zero pivot in tridiagonal elimination")
+    return mult, piv
+
+
+def tridiag_solve(mult, piv, off, b):
+    """Solve the factored constant tridiagonal system for b of shape (J,) or (J, m)."""
+    J = piv.shape[0]
+    x = np.array(b, dtype=np.result_type(b, piv))
+    for k in range(1, J):
+        x[k] -= mult[k] * x[k - 1]
+    x[J - 1] /= piv[J - 1]
+    for k in range(J - 2, -1, -1):
+        x[k] = (x[k] - off * x[k + 1]) / piv[k]
+    return x
 
 
 def _norm_a_power(J: int, iterations: int = 200) -> float:

@@ -39,7 +39,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy
 
 from . import _BLAS_THREADS, __version__
 from .diagnostics import charge_limit_discrete, discrete_charge
@@ -83,25 +82,24 @@ __all__ = [
 CSV_SCHEMA_VERSION = "1"
 
 
-def _library(config: dict, kind: str) -> str:
-    """'name version' of a numpy or scipy build's BLAS or LAPACK."""
-    lib = config["Build Dependencies"][kind]
+def _library(kind: str) -> str:
+    """'name version' of numpy's build's BLAS or LAPACK."""
+    lib = np.__config__.CONFIG["Build Dependencies"][kind]
     return f"{lib['name']} {lib['version']}"
 
 
 #: The lines every manifest opens with.  CSV bytes are reproducible per
 #: toolchain: the forcing product runs on numpy's BLAS and the linear solve on
-#: scipy's LAPACK, which may be different builds, so both are named.  The
-#: thread variables are those the BLAS libraries read, and who set them.
+#: numpy's LAPACK, both in the one OpenBLAS numpy loaded.  The thread
+#: variables are those that library reads, and who set them.
 PROVENANCE = {
     "schema": CSV_SCHEMA_VERSION,
     "version": __version__,
     "generator": GENERATOR_NAME,
     "python": platform.python_version(),
     "numpy": np.__version__,
-    "numpy_blas": _library(np.__config__.CONFIG, "blas"),
-    "scipy": scipy.__version__,
-    "scipy_lapack": _library(scipy.__config__.CONFIG, "lapack"),
+    "numpy_blas": _library("blas"),
+    "numpy_lapack": _library("lapack"),
     "blas_threads": _BLAS_THREADS,
 }
 

@@ -11,19 +11,17 @@ stencil tridiag(1, -2, 1), and g the Karhunen-Loève forcing increment
 skew-Hermitian matrix, hence an exact isometry.
 
 L₋ is constant in n, so it is factored once with LAPACK `zgttrf` (LU with
-partial pivoting) and every solve is one O(J)-per-column `zgttrs` call; on
-J <= 2, which the LAPACK wrappers reject, a Thomas elimination in numpy does
-both.  All state operations accept (J,) vectors or (J, m) batches, one
-realization per column, and are column-wise deterministic: `zgttrs` sweeps
-each right-hand side on its own, so a column's bits do not depend on how
-many columns are solved with it.
+partial pivoting) and every solve is one O(J)-per-column `zgttrs` call, on
+every J >= 1.  All state operations accept (J,) vectors or (J, m) batches,
+one realization per column, and are column-wise deterministic: `zgttrs`
+sweeps each right-hand side on its own, so a column's bits do not depend on
+how many columns are solved with it.
 
-`zgttrf` and `zgttrs` are the function objects `scipy.linalg.lapack`
-exports: they live in scipy's f2py extension `scipy.linalg._flapack`, which
-this module loads by file (`_load_flapack`).  `import scipy.linalg` would run
-the whole package's `__init__`, which pulls in numpy.f2py, numpy.testing and
-numpy.ma and took about two thirds of a command's 0.5 s startup; loading the
-one extension takes milliseconds.
+`zgttrf` and `zgttrs` are called through ctypes in the OpenBLAS that numpy
+itself loaded (`_load_lapack`), which exports them as `scipy_zgttrf_64_` and
+`scipy_zgttrs_64_`.  The forcing product and the linear solve thus run on
+one BLAS/LAPACK build, the one the manifest names, and no dsnls process
+imports scipy or maps a second OpenBLAS.
 
 With a cutoff, `step` scales the rotation angle by θ(‖Ψⁿ‖/R) with a smooth
 plateau cutoff θ (≡1 below R, ≡0 above 2R), which makes the drift globally
@@ -33,14 +31,11 @@ inside radius R.
 
 from __future__ import annotations
 
-import importlib.util
-import sys
+import ctypes
 from dataclasses import dataclass, field
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .model import GridSpec, ModelParams
 
@@ -48,29 +43,44 @@ from .model import GridSpec, ModelParams
 from .noise import forcing_weights, project_forcing  # noqa: F401
 
 
-def _load_flapack():
-    """scipy's f2py LAPACK extension, without running scipy.linalg's __init__.
+def _load_lapack():
+    """`zgttrf` and `zgttrs` of numpy's bundled OpenBLAS, as ctypes functions.
 
-    Registered under its own name, so a later `import scipy.linalg` reuses
-    this module object rather than loading a second copy, and an earlier one
-    is reused here.  A scipy that moves the extension fails this import with
-    the directory it looked in.
+    numpy's wheels ship scipy-openblas64, whose symbols carry a `scipy_`
+    prefix and a `64_` suffix and whose integers are 64-bit (ILP64).  The
+    path is the one numpy loaded, so the dynamic loader hands back that
+    library rather than mapping a second copy.  A numpy that ships no such
+    library, or more than one, fails this import with the directory it
+    looked in.
     """
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    linalg = Path(scipy.__file__).parent / "linalg"
-    spec = FileFinder(str(linalg), (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
-    if spec is None:
-        raise ImportError(f"no {name} extension module in {linalg}", name=name)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[name] = module
-    return module
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    found = sorted(libs.glob("libscipy_openblas64_*.so"))
+    if len(found) != 1:
+        raise ImportError(f"expected one libscipy_openblas64_*.so in {libs}, found "
+                          f"{len(found)}", name="scipy_openblas64")
+    lib = ctypes.CDLL(str(found[0]))
+    factor, solve = lib.scipy_zgttrf_64_, lib.scipy_zgttrs_64_
+    # zgttrf(n, dl, d, du, du2, ipiv, info)
+    factor.argtypes = (ctypes.POINTER(ctypes.c_int64), *[ctypes.c_void_p] * 5,
+                       ctypes.POINTER(ctypes.c_int64))
+    # zgttrs(trans, n, nrhs, dl, d, du, du2, ipiv, b, ldb, info, len(trans)) takes
+    # no argtypes: converting twelve arguments costs about 1.8 µs a call on a
+    # 2-core x86-64 machine, more than half of a (9, 1) solve, and
+    # `LinearPropagator._solver` builds each one once as a ctypes object of
+    # the exact C type
+    factor.restype = solve.restype = None
+    return factor, solve
 
 
-_flapack = _load_flapack()
-zgttrf, zgttrs = _flapack.zgttrf, _flapack.zgttrs
+_zgttrf, _zgttrs = _load_lapack()
+_NO_TRANSPOSE = ctypes.c_char_p(b"N")
+#: gfortran passes the length of a character argument as a trailing size_t.
+_CHAR_LEN = ctypes.c_size_t(1)
+
+
+def _ptr(a: np.ndarray) -> ctypes.c_void_p:
+    return ctypes.c_void_p(a.ctypes.data)
+
 
 __all__ = [
     "NumericalError",
@@ -83,8 +93,6 @@ __all__ = [
     "step",
     "march",
     "integrate",
-    "tridiag_factor",
-    "tridiag_solve",
 ]
 
 
@@ -105,51 +113,16 @@ class BlowUpError(RuntimeError):
         super().__init__(f"non-finite state after step {step_index} (realization {realization})")
 
 
-def tridiag_factor(J: int, diag, off):
-    """Forward-elimination factors (mult, piv) for the constant tridiagonal
-    matrix with `diag` on the diagonal and `off` on both off-diagonals."""
-    dtype = np.result_type(diag, off, float)
-    piv = np.empty(J, dtype=dtype)
-    mult = np.zeros(J, dtype=dtype)
-    piv[0] = diag
-    for k in range(1, J):
-        if piv[k - 1] == 0:
-            raise NumericalError("zero pivot in tridiagonal elimination")
-        mult[k] = off / piv[k - 1]
-        piv[k] = diag - mult[k] * off
-    if piv[J - 1] == 0:
-        raise NumericalError("zero pivot in tridiagonal elimination")
-    return mult, piv
-
-
-def tridiag_solve(mult, piv, off, b):
-    """Solve the factored constant tridiagonal system for b of shape (J,) or (J, m).
-
-    1-D inputs are solved through the same 2-D kernels as batches, so a single
-    trajectory and a batch column produce bit-identical results.
-    """
-    J = piv.shape[0]
-    flat = np.asarray(b).ndim == 1
-    x = np.array(b, dtype=np.result_type(b, piv), copy=True)
-    if flat:
-        x = x.reshape(J, 1)
-    for k in range(1, J):
-        x[k] -= mult[k] * x[k - 1]
-    x[J - 1] /= piv[J - 1]
-    for k in range(J - 2, -1, -1):
-        x[k] = (x[k] - off * x[k + 1]) / piv[k]
-    return x.reshape(J) if flat else x
-
-
 @dataclass(frozen=True)
 class LinearPropagator:
     """Precomputed linear substep: apply L₊ and solve with L₋, both O(J).
 
     L₋ = I - i τ/(2h²) A + (ατ/4) I is strictly diagonally dominant for
     ατ >= 0, so the one-time factorization is never singular.  `_factors`
-    holds the `zgttrf` output (dl, d, du, du2, ipiv), or the Thomas
-    (mult, piv) when J <= 2.  `damping_factor` is the per-substep amplitude
-    factor e^{-ατ/2}, computed once by `make_propagator`.
+    holds the `zgttrf` output (dl, d, du, du2, ipiv).  `_solvers` holds, per
+    right-hand-side shape, the Fortran-order buffer `zgttrs` solves in and
+    its ready-made ctypes arguments.  `damping_factor` is the per-substep
+    amplitude factor e^{-ατ/2}, computed once by `make_propagator`.
     """
 
     grid: GridSpec
@@ -161,6 +134,7 @@ class LinearPropagator:
     _diag_plus: complex = field(repr=False, default=0j)
     _off_plus: complex = field(repr=False, default=0j)
     _factors: tuple = field(repr=False, default=())
+    _solvers: dict = field(repr=False, compare=False, default_factory=dict)
 
     def apply_plus(self, x: np.ndarray) -> np.ndarray:
         """L₊ x = (I + i τ/(2h²) A - (ατ/4) I) x with Dirichlet ends."""
@@ -176,14 +150,28 @@ class LinearPropagator:
         y[:-1] += self._off_minus * x[1:]
         return y
 
+    def _solver(self, shape: tuple) -> tuple:
+        """The buffer and `zgttrs` arguments for right-hand sides of `shape`."""
+        J = self.grid.J
+        if len(shape) not in (1, 2) or shape[0] != J:
+            raise ValueError(f"right-hand side has shape {shape}, expected ({J},) or ({J}, m)")
+        buf = np.empty(shape, dtype=complex, order="F")
+        # n, nrhs, ldb and info; each byref keeps its c_int64 alive
+        n, nrhs, ldb, info = (ctypes.byref(ctypes.c_int64(v)) for v in (J, buf.size // J, J, 0))
+        args = (_NO_TRANSPOSE, n, nrhs, *map(_ptr, self._factors), _ptr(buf), ldb, info,
+                _CHAR_LEN)
+        self._solvers[shape] = buf, args
+        return buf, args
+
     def solve_minus(self, b: np.ndarray) -> np.ndarray:
-        """x with L₋ x = b, reusing the one-time factorization; C-contiguous."""
-        if self.grid.J <= 2:
-            return tridiag_solve(*self._factors, self._off_minus, b)
-        x, _ = zgttrs(*self._factors, b)
-        # LAPACK hands back Fortran order, which slows the row-wise stencil
-        # and rotation of the next step
-        return np.ascontiguousarray(x)
+        """x with L₋ x = b, reusing the one-time factorization; a fresh
+        C-contiguous array."""
+        buf, args = self._solvers.get(b.shape) or self._solver(b.shape)
+        buf[...] = b
+        _zgttrs(*args)
+        # LAPACK works in Fortran order, which slows the row-wise stencil and
+        # rotation of the next step; the copy also frees the buffer for reuse
+        return buf.copy()
 
     def propagate(self, x: np.ndarray) -> np.ndarray:
         """One application of L₋⁻¹ L₊ (an isometry when α = 0)."""
@@ -204,18 +192,17 @@ def make_propagator(grid: GridSpec, tau: float, alpha: float) -> LinearPropagato
     diag_plus = complex(1.0 - a, -2.0 * r)
     off_plus = complex(0.0, r)
     J = grid.J
-    if J <= 2:  # scipy's zgttrf/zgttrs wrappers reject n <= 2
-        factors = tridiag_factor(J, diag_minus, off_minus)
-    else:
-        off = np.full(J - 1, off_minus)
-        *factors, info = zgttrf(off, np.full(J, diag_minus), off)
-        if info != 0:
-            raise NumericalError(f"L- is singular (zgttrf info {info})")
+    factors = (np.full(J - 1, off_minus), np.full(J, diag_minus), np.full(J - 1, off_minus),
+               np.zeros(max(J - 2, 0), dtype=complex), np.zeros(J, dtype=np.int64))
+    n, info = ctypes.c_int64(J), ctypes.c_int64(0)
+    _zgttrf(ctypes.byref(n), *map(_ptr, factors), ctypes.byref(info))
+    if info.value != 0:
+        raise NumericalError(f"L- is singular (zgttrf info {info.value})")
     return LinearPropagator(
         grid=grid, tau=tau, alpha=alpha, damping_factor=float(np.exp(-0.5 * alpha * tau)),
         _diag_minus=diag_minus, _off_minus=off_minus,
         _diag_plus=diag_plus, _off_plus=off_plus,
-        _factors=tuple(factors),
+        _factors=factors,
     )
 
 

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy
 import pytest
-import scipy
 
 import dsnls
 from dsnls.cli import (
@@ -60,8 +59,7 @@ PROVENANCE_LINES = (
     f"python = {platform.python_version()}",
     f"numpy = {numpy.__version__}",
     f"numpy_blas = {_library(numpy.show_config(mode='dicts')['Build Dependencies']['blas'])}",
-    f"scipy = {scipy.__version__}",
-    f"scipy_lapack = {_library(scipy.show_config(mode='dicts')['Build Dependencies']['lapack'])}",
+    f"numpy_lapack = {_library(numpy.show_config(mode='dicts')['Build Dependencies']['lapack'])}",
     # what this process's import of dsnls found and set; test_blas_thread_policy
     # checks the line's wording in fresh interpreters
     f"blas_threads = {dsnls._BLAS_THREADS}",
@@ -355,6 +353,15 @@ horizons = 0.25, 0.5
         out = capsys.readouterr().out
         assert "PASS energy-identity" in out
         assert "PASS conformal-multisymplectic" in out
+
+    def test_diagnose_rejects_set(self, capsys, tmp_path):
+        # diagnose reads no config, so an override would be recorded, not applied
+        out = tmp_path / "d"
+        with pytest.raises(SystemExit) as exc:
+            run(["diagnose", "--set", "banana=1", "--out", str(out)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "--set" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestChunkInvariance:
@@ -684,12 +691,13 @@ def _python_c(code: str, env: dict | None = None) -> str:
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no /proc/self/task")
 def test_blas_thread_policy():
-    # `import dsnls.cli` loads both bundled OpenBLAS copies, numpy's and the
-    # one behind scipy's _flapack; unpinned, each starts its worker threads
+    # `import dsnls.cli` maps one OpenBLAS, numpy's, which also runs the
+    # LAPACK solve; unpinned, it starts its worker threads
     report = ("import os, sys\n"
               "before = dict(os.environ)\n"
               "{imports}\n"
-              "assert 'scipy.linalg._flapack' in sys.modules\n"
+              "assert len({{line.split()[-1] for line in open('/proc/self/maps')\n"
+              "            if 'openblas' in line}}) == 1\n"
               "print(len(os.listdir('/proc/self/task')))\n"
               "print(sorted(k for k in os.environ.keys() | before\n"
               "             if os.environ.get(k) != before.get(k)))\n"
@@ -747,13 +755,13 @@ def test_single_chunk_runs_leave_multiprocessing_unloaded(tmp_path):
 @pytest.mark.parametrize("command",
                          ["simulate", "simulate-j1000", "charge", "charge-2chunks", "order"])
 def test_commands_leave_heavy_modules_unloaded(command, tmp_path):
-    # each would add its import time and memory to every run: scipy.special;
-    # scipy.linalg's __init__, which pulls in numpy.f2py and numpy.testing; and
-    # a process pool's multiprocessing and concurrent.futures.  On two CPUs
-    # simulate-j1000, with three snapshots, forks the trajectory writer, and
-    # charge-2chunks forks two chunk workers.
-    heavy = ("scipy.special", "scipy.linalg", "numpy.f2py", "numpy.testing", "multiprocessing",
-             "concurrent.futures")
+    # each would add its import time and memory to every run: scipy, whose
+    # OpenBLAS would be a second one in the process; numpy.f2py and
+    # numpy.testing; and a process pool's multiprocessing and
+    # concurrent.futures.  On two CPUs simulate-j1000, with three snapshots,
+    # forks the trajectory writer, and charge-2chunks forks two chunk workers.
+    heavy = ("scipy", "scipy.special", "scipy.linalg", "numpy.f2py", "numpy.testing",
+             "multiprocessing", "concurrent.futures")
     argv = {
         "simulate": ["simulate", "--preset", "fig1b", "--set", "kind=simulate"],
         "simulate-j1000": ["simulate", "--preset", "fig1b", "--set", "kind=simulate",
@@ -768,21 +776,6 @@ def test_commands_leave_heavy_modules_unloaded(command, tmp_path):
         f"assert dsnls.cli.run({argv!r}) == 0\n"
         f"print(sorted(set({heavy!r}) & set(sys.modules)))").splitlines()
     assert (lines[0], lines[-1]) == ("[]", "[]"), lines
-
-
-@pytest.mark.parametrize("first", ["dsnls", "scipy.linalg"])
-def test_lapack_routines_are_scipy_linalg_lapacks(first):
-    # one LAPACK module whichever is imported first, holding the very
-    # functions scipy.linalg.lapack exports: a scipy that moves or replaces
-    # them fails here, not as a second code path
-    second = "scipy.linalg" if first == "dsnls" else "dsnls"
-    assert _python_c(
-        f"import sys, {first}, {second}\n"
-        "from dsnls import integrator\n"
-        "from scipy.linalg import lapack\n"
-        "print(integrator.zgttrf is lapack.zgttrf, integrator.zgttrs is lapack.zgttrs,\n"
-        "      integrator._flapack is sys.modules['scipy.linalg._flapack'])"
-    ) == "True True True"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dsnls.diagnostics import tridiag_factor, tridiag_solve
 from dsnls.integrator import (
     BlowUpError,
     CutoffFunction,
@@ -118,8 +119,8 @@ class TestPropagator:
 
     @pytest.mark.parametrize("J", [1, 2, 3, 9, 100])
     def test_solve_is_column_wise(self, J):
-        # Thomas path (J <= 2) and LAPACK path (J >= 3) alike: a column's bits
-        # do not depend on the batch it is solved in, which chunk invariance needs
+        # J <= 2 included: a column's bits do not depend on the batch it is
+        # solved in, which chunk invariance needs
         prop = make_propagator(make_grid(J), 2.0 ** -6, 0.5)
         batch = np.stack([_random_state(J, seed=s) for s in range(7)], axis=1)
         x = prop.solve_minus(batch)
@@ -130,6 +131,42 @@ class TestPropagator:
             assert single.shape == (J,)
             np.testing.assert_array_equal(single, x[:, i])
         np.testing.assert_array_equal(prop.solve_minus(batch[:, 2:5]), x[:, 2:5])
+
+    def test_lapack_bits_match_scipy(self):
+        # the ctypes binding to numpy's OpenBLAS gives the bits of the
+        # zgttrf/zgttrs that scipy.linalg.lapack exports, a C-order copy of
+        # its Fortran-order solve included
+        from scipy.linalg import lapack
+        for J, tau in itertools.product([3, 9, 1000], [2.0 ** -6, 2.0 ** -12]):
+            prop = make_propagator(make_grid(J), tau, 0.5)
+            off = np.full(J - 1, prop._off_minus)
+            *factors, info = lapack.zgttrf(off, np.full(J, prop._diag_minus), off)
+            assert info == 0
+            for ours, ref in zip(prop._factors, factors, strict=True):
+                np.testing.assert_array_equal(ours, ref)
+            for m in (1, 7, 100, 250):
+                rng = np.random.default_rng(J * m)
+                b = rng.standard_normal((J, m)) + 1j * rng.standard_normal((J, m))
+                x, info = lapack.zgttrs(*factors, b)
+                assert info == 0
+                assert prop.solve_minus(b).tobytes() == np.ascontiguousarray(x).tobytes()
+
+    @pytest.mark.parametrize("J", [1, 2])
+    def test_small_grid_solve_matches_thomas(self, J):
+        # LAPACK takes n = 1 and 2 too; a Thomas elimination agrees to an ulp
+        prop = make_propagator(make_grid(J), 2.0 ** -6, 0.5)
+        b = np.stack([_random_state(J, seed=s) for s in range(7)], axis=1)
+        x = prop.solve_minus(b)
+        ref = tridiag_solve(*tridiag_factor(J, prop._diag_minus, prop._off_minus),
+                            prop._off_minus, b)
+        assert np.abs(x - ref).max() <= 1e-15 * np.abs(ref).max()
+        assert np.abs(prop.apply_minus(x) - b).max() <= 1e-15 * np.abs(b).max()
+
+    def test_solve_rejects_a_wrong_length(self):
+        prop = make_propagator(make_grid(9), 2.0 ** -6, 0.5)
+        for shape in [(8,), (10, 3), (9, 2, 2)]:
+            with pytest.raises(ValueError, match="right-hand side"):
+                prop.solve_minus(np.zeros(shape, dtype=complex))
 
 
 class TestColumnNorm2:
