@@ -778,6 +778,30 @@ def test_commands_leave_heavy_modules_unloaded(command, tmp_path):
     assert (lines[0], lines[-1]) == ("[]", "[]"), lines
 
 
+@pytest.mark.parametrize("first", ["dsnls", "scipy.linalg"])
+def test_lapack_routines_are_scipy_linalg_lapacks(first):
+    # whichever is imported first, and so whichever OpenBLAS is mapped first,
+    # dsnls's zgttrf/zgttrs give the bits scipy.linalg.lapack's give: a
+    # binding that resolves to another library's symbols fails here
+    second = "scipy.linalg" if first == "dsnls" else "dsnls"
+    assert _python_c(
+        f"import {first}, {second}\n"
+        "import numpy as np\n"
+        "from scipy.linalg import lapack\n"
+        "from dsnls.model import make_grid\n"
+        "from dsnls.integrator import make_propagator\n"
+        "J, m = 9, 7\n"
+        "prop = make_propagator(make_grid(J), 2.0 ** -6, 0.5)\n"
+        "off = np.full(J - 1, prop._off_minus)\n"
+        "*factors, info = lapack.zgttrf(off, np.full(J, prop._diag_minus), off)\n"
+        "rng = np.random.default_rng(3)\n"
+        "b = rng.standard_normal((J, m)) + 1j * rng.standard_normal((J, m))\n"
+        "x, info = lapack.zgttrs(*factors, b)\n"
+        "print(all(np.array_equal(o, r) for o, r in zip(prop._factors, factors, strict=True)),\n"
+        "      prop.solve_minus(b).tobytes() == np.ascontiguousarray(x).tobytes())"
+    ) == "True True"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_blowup_in_a_worker_names_the_serial_step(tmp_path, capsys, pin_cpus):
     # here realization 0 blows up at step 1452 and realization 1 at step 567,
