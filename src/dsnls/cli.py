@@ -43,7 +43,7 @@ from .harness import (
 from .integrator import BlowUpError, integrate, make_propagator
 # only for perfbench/child.py's tracer, which looks it up here (ROADMAP item 1)
 from .noise import generate_path  # noqa: F401
-from .presets import preset_config, preset_lines
+from .presets import PRESETS, preset_config
 
 __all__ = ["main", "run"]
 
@@ -165,22 +165,19 @@ def _load_config(args, command: str):
     `ConfigError` unless its kind is `command`."""
     if args.preset and args.config:
         raise ConfigError("give either --config or --preset, not both")
+    overrides = list(args.set or [])
+    if args.seed is not None:
+        overrides.append(f"noise.seed={args.seed}")
     if args.preset:
-        try:
-            text = serialize_config(preset_config(args.preset))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        config = preset_config(args.preset, overrides)
     elif args.config:
         try:
             text = Path(args.config).read_text()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from None
+        config = parse_config(text, overrides)
     else:
         raise ConfigError("an experiment subcommand needs --config PATH or --preset NAME")
-    overrides = list(args.set or [])
-    if args.seed is not None:
-        overrides.append(f"noise.seed={args.seed}")
-    config = parse_config(text, overrides)
     if config.kind != command:
         raise ConfigError(
             f"config kind '{config.kind}' does not match subcommand '{command}' "
@@ -231,43 +228,43 @@ def _partial_manifest(out: Path, config, command: str, overrides):
         raise
 
 
-def _cmd_experiment(args, command: str) -> int:
-    config = _load_config(args, command)
-    out = _out_dir(args)
-    with _partial_manifest(out, config, command, args.set or []):
-        if command == "charge":
-            record = charge_experiment(config, chunk_size=args.chunk_size)
-        elif command == "ergodic":
-            record = ergodic_experiment(config, chunk_size=args.chunk_size)
-        else:  # error or order
-            record = ms_error(config, chunk_size=args.chunk_size)
-    tables = [(_write_csv, f"{command}.csv", record.columns, record.rows)]
-    if command == "order":
-        fit = order_fit([(tau, err) for tau, _, err, _ in record.rows])
-        tables.append((_write_csv, "fit.csv", ("slope", "intercept", "rms_residual"),
-                       [(fit.slope, fit.intercept, fit.residual)]))
-        record.manifest["fitted_slope"] = repr(fit.slope)
-        print(f"fitted slope: {fit.slope:.4f}")
-    _emit(out, record.manifest, serialize_config(config), command, args.set or [], *tables)
-    print(f"wrote {out}")
-    return EXIT_OK
-
-
-def _cmd_simulate(args) -> int:
-    config = _load_config(args, "simulate")
-    out = _out_dir(args)
+def _simulate(config):
+    """simulate's manifest and tables: realization 0 of the ensemble, stepped
+    as a batch of one column; the run's only task, so its noise may be drawn
+    on a second CPU."""
     t0 = time.perf_counter()
     psi0 = resolve_initial(config.grid, config.initial)
     prop = make_propagator(config.grid, config.tau, config.params.alpha)
-    with _partial_manifest(out, config, "simulate", args.set or []):
-        # realization 0 of the ensemble, stepped as a batch of one column;
-        # the run's only task, so its noise may be drawn on a second CPU
-        with batch_forcing(config, config.tau, config.n_steps, range(1), alone=True) as forcing:
-            steps, states = integrate(psi0[:, None], prop, config.params, forcing,
-                                      config.n_steps, config.record_stride)
-        manifest = ensemble_manifest(config, t0, noise_lines([forcing.timers()]), 1)
-        _emit(out, manifest, serialize_config(config), "simulate", args.set or [],
-              (_write_trajectory, "trajectory.csv", steps, config.tau, states[:, :, 0]))
+    with batch_forcing(config, range(1), alone=True) as forcing:
+        steps, states = integrate(psi0[:, None], prop, config.params, forcing,
+                                  config.n_steps, config.record_stride)
+    manifest = ensemble_manifest(config, t0, noise_lines([forcing.timers()]), 1)
+    return manifest, [(_write_trajectory, "trajectory.csv", steps, config.tau, states[:, :, 0])]
+
+
+def _cmd_experiment(args, command: str) -> int:
+    config = _load_config(args, command)
+    out = _out_dir(args)
+    overrides = args.set or []
+    with _partial_manifest(out, config, command, overrides):
+        if command == "simulate":
+            manifest, tables = _simulate(config)
+        else:
+            if command == "charge":
+                record = charge_experiment(config, chunk_size=args.chunk_size)
+            elif command == "ergodic":
+                record = ergodic_experiment(config, chunk_size=args.chunk_size)
+            else:  # error or order
+                record = ms_error(config, chunk_size=args.chunk_size)
+            manifest = record.manifest
+            tables = [(_write_csv, f"{command}.csv", record.columns, record.rows)]
+        if command == "order":
+            fit = order_fit([(tau, err) for tau, _, err, _ in record.rows])
+            tables.append((_write_csv, "fit.csv", ("slope", "intercept", "rms_residual"),
+                           [(fit.slope, fit.intercept, fit.residual)]))
+            manifest["fitted_slope"] = repr(fit.slope)
+            print(f"fitted slope: {fit.slope:.4f}")
+        _emit(out, manifest, serialize_config(config), command, overrides, *tables)
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -294,8 +291,8 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_presets() -> int:
-    for name, desc in preset_lines():
-        print(f"{name:11s} {desc}")
+    for name in sorted(PRESETS):
+        print(f"{name:11s} {PRESETS[name][0]}")
     return EXIT_OK
 
 
@@ -337,8 +334,6 @@ def run(argv=None) -> int:
             return _cmd_presets()
         if args.command == "diagnose":
             return _cmd_diagnose(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
         return _cmd_experiment(args, args.command)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

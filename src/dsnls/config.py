@@ -19,6 +19,10 @@ Sections and keys:
 entries).  An error or order study's `tau` is its fine reference step.
 Defaults are applied for every omitted optional key and echoed into the
 run manifest's config echo, its one record of the config.
+
+Overrides (``key=value`` or ``section.key=value``, the CLI's `--set`) replace
+a key's value.  A preset is the document `presets.BASE` with its own
+overrides, so `--config` and `--preset` share this one parser.
 """
 
 from __future__ import annotations

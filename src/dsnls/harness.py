@@ -122,9 +122,9 @@ class ExperimentConfig:
     """Reproducible experiment description.
 
     `initial` (and the ergodic `initials`) are profile descriptors understood
-    by `resolve_initial`; `spectrum_desc` remembers how `noise.eta` was built
-    so configs serialize back to their source form.  An error or order
-    study's `tau` is its fine reference step.
+    by `resolve_initial`, each checked on `grid` here; `spectrum_desc`
+    remembers how `noise.eta` was built so configs serialize back to their
+    source form.  An error or order study's `tau` is its fine reference step.
     """
 
     kind: str
@@ -181,6 +181,8 @@ class ExperimentConfig:
                 raise ValueError("kind=ergodic needs at least one initial profile")
             if any(e <= 0.0 for e in self.noise.eta):
                 raise ValueError("ergodic experiments need strictly positive eta_k")
+        for desc in (self.initial, *(self.initials if self.kind == "ergodic" else ())):
+            resolve_initial(self.grid, desc)
 
     @property
     def n_steps(self) -> int:
@@ -277,7 +279,7 @@ def _run_chunk(task):
     chunk's forcing source, which is closed however fn ends.  Every sweep
     steps config.tau, an error study's reference step."""
     fn, config, lo, hi, alone = task
-    with batch_forcing(config, config.tau, config.n_steps, range(lo, hi), alone) as forcing:
+    with batch_forcing(config, range(lo, hi), alone) as forcing:
         rows = fn(config, forcing)
     return rows, forcing.timers()
 
@@ -368,14 +370,14 @@ def ensemble_manifest(config: ExperimentConfig, t0: float, run_info: dict,
     return manifest
 
 
-def _open_streams(config: ExperimentConfig, tau: float, n_steps: int, realizations) -> list:
+def _open_streams(config: ExperimentConfig, realizations) -> list:
     """Each realization's `forcing_blocks` stream of `stream_noise(config)`."""
     noise = stream_noise(config)
     weights = forcing_weights(config.grid, noise, config.params.epsilon)
     # the transposed view of one complex (P, J) copy, which every stream's
     # `forcing_blocks` then projects with uncopied
     weights = np.ascontiguousarray(weights.T, dtype=complex).T
-    return [forcing_blocks(weights, noise, tau, n_steps, r) for r in realizations]
+    return [forcing_blocks(weights, noise, config.tau, config.n_steps, r) for r in realizations]
 
 
 def _fill(block: np.ndarray, streams) -> float:
@@ -469,8 +471,8 @@ class Child:
         return WorkerDied(f"{self.name} {self.pid}", self.close())
 
 
-def _produce(free: int, ready: int, config: ExperimentConfig, tau: float, n_steps: int,
-             realizations, block: np.ndarray, spans) -> None:
+def _produce(free: int, ready: int, config: ExperimentConfig, realizations, block: np.ndarray,
+             spans) -> None:
     """The life of a producer process (`Child` runs it).
 
     It opens the streams, so numpy.random and the generator state live only
@@ -481,7 +483,7 @@ def _produce(free: int, ready: int, config: ExperimentConfig, tau: float, n_step
     last block, or at EOF on `free` or a broken `ready` pipe: the consumer
     has closed.
     """
-    streams = _open_streams(config, tau, n_steps, realizations)
+    streams = _open_streams(config, realizations)
     try:
         os.write(ready, b"s")
         private = np.empty_like(block)
@@ -502,25 +504,24 @@ class ForcingSource:
     pipes to its producer process, which then exits, and reaps it.
     """
 
-    def __init__(self, config: ExperimentConfig, tau: float, n_steps: int, realizations,
-                 alone: bool):
+    def __init__(self, config: ExperimentConfig, realizations, alone: bool):
         self.realizations = realizations
         self.noise_s = self.noise_wait_s = 0.0
         self.normals = 0
         self._producer = None
         if not config.params.epsilon > 0.0:
-            self._rows = itertools.repeat(None, n_steps)
+            self._rows = itertools.repeat(None, config.n_steps)
             return
-        spans = [min(FORCING_BLOCK_STEPS, n_steps - a)
-                 for a in range(0, n_steps, FORCING_BLOCK_STEPS)]
+        spans = [min(FORCING_BLOCK_STEPS, config.n_steps - a)
+                 for a in range(0, config.n_steps, FORCING_BLOCK_STEPS)]
         shape = (spans[0] if spans else 0, config.grid.J, len(realizations))
         self._normals_per_step = 2 * stream_noise(config).P * len(realizations)
         if alone and len(spans) > 1 and usable_cpus() > 1:
             # one block shared with the producer: the only block this process holds
             shared = mmap.mmap(-1, np.dtype(complex).itemsize * shape[0] * shape[1] * shape[2])
             block = np.frombuffer(shared, dtype=complex).reshape(shape)
-            self._producer = Child("noise producer process", _produce, config, tau, n_steps,
-                                   realizations, block, spans)
+            self._producer = Child("noise producer process", _produce, config, realizations,
+                                   block, spans)
             try:
                 self._receive(1)  # the streams are open, as on the in-process path
             except BaseException:
@@ -528,7 +529,7 @@ class ForcingSource:
                 raise
             self._rows = self._rows_from_producer(block, spans)
         else:
-            streams = _open_streams(config, tau, n_steps, realizations)
+            streams = _open_streams(config, realizations)
             self._rows = self._rows_here(streams, np.empty(shape, dtype=complex), spans)
 
     def _rows_here(self, streams, buffer: np.ndarray, spans):
@@ -595,11 +596,11 @@ def noise_lines(timers) -> dict:
     }
 
 
-def batch_forcing(config: ExperimentConfig, tau: float, n_steps: int, realizations: range,
+def batch_forcing(config: ExperimentConfig, realizations: range,
                   alone: bool = False) -> ForcingSource:
-    """A `ForcingSource` of per-step (J, m) forcing for a batch of
-    realizations, column i fed from realization realizations[i]'s own stream
-    of `stream_noise(config)`; None at every step when ε = 0.
+    """A `ForcingSource` of the per-step (J, m) forcing of config.n_steps steps
+    for a batch of realizations, column i fed from realization
+    realizations[i]'s own stream of `stream_noise(config)`; None when ε = 0.
 
     Each stream is drawn and projected in blocks of `FORCING_BLOCK_STEPS`
     steps at fixed per-realization shapes (`_fill`), so every column is
@@ -616,7 +617,7 @@ def batch_forcing(config: ExperimentConfig, tau: float, n_steps: int, realizatio
     (`_produce`).  A producer that dies raises `WorkerDied` with its exit
     status.
     """
-    return ForcingSource(config, tau, n_steps, realizations, alone)
+    return ForcingSource(config, realizations, alone)
 
 
 def _record_steps(n_steps: int, stride: int, include_zero: bool = True) -> list:

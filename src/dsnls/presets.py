@@ -1,123 +1,70 @@
-"""Named experiment presets.
+"""Named experiment presets: one config document plus overrides.
 
-Each preset fixes every knob of one standard experiment at desk scale
-(runtimes of seconds to minutes).  The shared physical setup is λ = 1,
-α = 0.5, P = 100 modes with the power-law spectrum η_k = k⁻⁶.
+`BASE` is a config document (see `dsnls.config`): λ = 1, α = 0.5, ε = 1,
+P = 100 modes with η_k = k⁻⁶, seed 11, J = 9, τ = 2⁻⁶, T = 35 and M = 100
+realizations of a charge run.  A preset is a list of ``key=value``
+overrides on it, applied as `--set` overrides are: ``--preset NAME --set
+KEY=VALUE`` is `BASE` with the preset's overrides, then the user's.
 
-Mesh-width conventions: the library always uses (J+1)·h = 1, so presets
-quoted at h = 0.1 use J = 9 and h = 0.25 uses J = 3.  The ergodic preset
-keeps h = 0.1 and evaluates its five initial profiles on that grid; on a
-J = 100 grid the same named profiles reproduce the classical 100-dimensional
-initial vectors verbatim.
+The library uses (J+1)·h = 1, so h = 0.1 is J = 9 and h = 0.25 is J = 3.
+The ergodic preset evaluates its five initial profiles on the h = 0.1 grid;
+on a J = 100 grid the same named profiles are the classical
+100-dimensional initial vectors.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
+from .config import ConfigError, parse_config
 from .harness import ExperimentConfig
-from .model import GridSpec, ModelParams, NoiseSpec, spectrum
 
-__all__ = ["PRESETS", "preset_config", "preset_lines"]
+__all__ = ["BASE", "PRESETS", "preset_config"]
 
-_SPECTRUM = "power-law(6)"
-_DEFAULT_SEED = 11
+BASE = """\
+[model]
+alpha = 0.5
+lambda = 1
+epsilon = 1.0
 
+[grid]
+J = 9
 
-def _noise(P: int, seed: int) -> NoiseSpec:
-    return NoiseSpec(P=P, eta=spectrum(_SPECTRUM, P), seed=seed)
+[noise]
+P = 100
+spectrum = power-law(6)
+seed = 11
 
+[time]
+tau = 2^-6
+T = 35
 
-def _fig1(epsilon: float) -> ExperimentConfig:
-    return ExperimentConfig(
-        kind="charge",
-        params=ModelParams(alpha=0.5, lam=1, epsilon=epsilon),
-        grid=GridSpec(J=9),
-        noise=_noise(100, _DEFAULT_SEED),
-        spectrum_desc=_SPECTRUM,
-        tau=2.0 ** -6,
-        T=35.0,
-        M=500,
-        initial="sine",
-        record_stride=16,
-    )
+[experiment]
+kind = charge
+M = 100
+"""
 
+_FIG1 = ("M=500", "record_stride=16")
+_FIG4 = ("kind=order", "tau=2^-12", "T=1", "tau_ladder=2^-10, 2^-9, 2^-8, 2^-7")
 
-def _fig2() -> ExperimentConfig:
-    return ExperimentConfig(
-        kind="ergodic",
-        params=ModelParams(alpha=0.5, lam=1, epsilon=1.0),
-        grid=GridSpec(J=9),
-        noise=_noise(100, _DEFAULT_SEED),
-        spectrum_desc=_SPECTRUM,
-        tau=2.0 ** -6,
-        T=100.0,
-        M=100,
-        initials=("initial(1)", "initial(2)", "initial(3)", "initial(4)", "initial(5)"),
-        observables=("exp-norm2", "sin-norm2"),
-        record_stride=64,
-    )
-
-
-def _fig3() -> ExperimentConfig:
-    return ExperimentConfig(
-        kind="error",
-        params=ModelParams(alpha=0.5, lam=1, epsilon=1.0),
-        grid=GridSpec(J=3),
-        noise=_noise(100, _DEFAULT_SEED),
-        spectrum_desc=_SPECTRUM,
-        tau=2.0 ** -12,
-        T=80.0,
-        M=100,
-        initial="sine",
-        tau_ladder=(2.0 ** -10, 2.0 ** -8),
-        horizons=(10.0, 20.0, 40.0, 80.0),
-    )
-
-
-def _fig4(epsilon: float) -> ExperimentConfig:
-    return ExperimentConfig(
-        kind="order",
-        params=ModelParams(alpha=0.5, lam=1, epsilon=epsilon),
-        grid=GridSpec(J=9),
-        noise=_noise(100, _DEFAULT_SEED),
-        spectrum_desc=_SPECTRUM,
-        tau=2.0 ** -12,
-        T=1.0,
-        M=100,
-        initial="sine",
-        tau_ladder=(2.0 ** -10, 2.0 ** -9, 2.0 ** -8, 2.0 ** -7),
-    )
-
-
+#: name -> (description, overrides on `BASE`)
 PRESETS = {
     "fig1a": ("noise-free charge dissipation (h=0.1, tau=2^-6, T=35, eps=0)",
-              lambda: _fig1(0.0)),
-    "fig1b": ("stochastic charge plateau (h=0.1, tau=2^-6, T=35, eps=1, M=500)",
-              lambda: _fig1(1.0)),
+              ("epsilon=0", *_FIG1)),
+    "fig1b": ("stochastic charge plateau (h=0.1, tau=2^-6, T=35, eps=1, M=500)", _FIG1),
     "fig2": ("ergodic temporal averages from five initial profiles (desk T=100, M=100)",
-             _fig2),
+             ("kind=ergodic", "T=100", "record_stride=64",
+              "initials=initial(1), initial(2), initial(3), initial(4), initial(5)")),
     "fig3": ("mean-square error across horizons T=10..80 (h=0.25, coupled reference tau=2^-12)",
-             _fig3),
+             ("kind=error", "J=3", "tau=2^-12", "T=80", "tau_ladder=2^-10, 2^-8",
+              "horizons=10, 20, 40, 80")),
     "fig4-det": ("deterministic convergence order (T=1, ladder 2^-10..2^-7 vs tau=2^-12)",
-                 lambda: _fig4(0.0)),
+                 ("epsilon=0", *_FIG4)),
     "fig4-stoch": ("stochastic convergence order (T=1, ladder 2^-10..2^-7 vs tau=2^-12)",
-                   lambda: _fig4(1.0)),
+                   _FIG4),
 }
 
 
-def preset_config(name: str, seed: int | None = None) -> ExperimentConfig:
-    """Build a preset by name, optionally replacing its base seed."""
-    try:
-        _, builder = PRESETS[name]
-    except KeyError:
-        raise ValueError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}") from None
-    config = builder()
-    if seed is not None:
-        config = replace(config, noise=replace(config.noise, seed=seed))
-    return config
-
-
-def preset_lines() -> list:
-    """(name, description) pairs for the `presets` listing."""
-    return [(name, PRESETS[name][0]) for name in sorted(PRESETS)]
+def preset_config(name: str, overrides=()) -> ExperimentConfig:
+    """`BASE` with the preset's overrides, then `overrides`, parsed."""
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
+    return parse_config(BASE, [*PRESETS[name][1], *overrides])

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import platform
 import re
@@ -170,11 +171,27 @@ class TestPresetRegistry:
         assert sorted(PRESETS) == ["fig1a", "fig1b", "fig2", "fig3", "fig4-det", "fig4-stoch"]
 
     def test_unknown_preset(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             preset_config("fig9")
 
     def test_seed_override(self):
-        assert preset_config("fig1a", seed=123).noise.seed == 123
+        assert preset_config("fig1a", ["noise.seed=123"]).noise.seed == 123
+
+    #: SHA-256 of each preset's config echo, so that no preset value moves
+    #: unnoticed
+    ECHO_SHA256 = {
+        "fig1a": "62d924538cb5346f08ceb898a38e675a1592aff3c6c0ff8dbdf96b3b63ee7d06",
+        "fig1b": "4d33235a707e45f0f8ad576c5e87c20d49ead699ec95d50877c4a4e03076aa55",
+        "fig2": "a50aded5bf3557c5c000fae9d416d7bc36491fda8ee1f37212d7d043d73af4e8",
+        "fig3": "10ba6e65c07a6f6e5259545402622040afc74c42c4abfbba333e80b13d8548e1",
+        "fig4-det": "6455aad4457f021be2f37ebd1585ef7cac3bef2267673112e866e36e374ca8af",
+        "fig4-stoch": "192f116318b0f713fda5d4430a14f2d4c4f068273c14cfd6802f09940e456f6e",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_echo_is_pinned(self, name):
+        echo = serialize_config(preset_config(name))
+        assert hashlib.sha256(echo.encode()).hexdigest() == self.ECHO_SHA256[name], echo
 
 
 class TestCliRuns:
@@ -238,6 +255,21 @@ class TestCliRuns:
             assert capsys.readouterr().err == (
                 f"config error: config kind 'charge' does not match subcommand '{command}' "
                 f"(use --set kind={command} to retarget)\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--preset", "fig1b", "--set", "kind=simulate", "--set", "initial=explicit: 1"],
+        ["charge", "--preset", "fig1b", "--set", "initial=explicit: 1, 2"],
+        ["charge", "--preset", "fig1b", "--set", "initial=explicit: 1, 2", "--chunk-size", "1"],
+        ["ergodic", "--preset", "fig2", "--set", "initials=initial(1), nine"],
+        ["ergodic", "--preset", "fig2", "--set", "initials=initial(1), nine", "--chunk-size", "1"],
+    ], ids=["simulate", "charge", "charge-chunk-size-1", "ergodic", "ergodic-chunk-size-1"])
+    def test_bad_initial_profile_is_config_error(self, argv, tmp_path, capsys):
+        # the profiles are checked on the grid as the config is built, before
+        # any output or chunk worker exists, however the run is chunked
+        out = tmp_path / "out"
+        assert run([*argv, "--set", "M=2", "--set", "T=2^-5", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
 
     def test_parse_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -442,7 +474,7 @@ def test_manifest_records_write_seconds(command, tmp_path):
     config = parse_config(text.split("# config echo\n")[1].replace("| ", ""))
     preset = argv[argv.index("--preset") + 1]
     overrides = [argv[i + 1] for i, arg in enumerate(argv) if arg == "--set"]
-    assert config == parse_config(serialize_config(preset_config(preset)), overrides)
+    assert config == preset_config(preset, overrides)
     assert not manifest.keys() & CONFIG_KEYS, manifest.keys() & CONFIG_KEYS
     keys = ["realization_steps_per_s"]
     if command != "simulate":
@@ -736,11 +768,6 @@ def test_started_interpreters_inherit_no_blas_pin():
         "OPENBLAS_NUM_THREADS=1 (dsnls default)")
 
 
-def test_cli_import_leaves_scipy_special_unloaded():
-    # scipy.special would add its import time and memory to every run
-    assert _python_c("import sys, dsnls.cli; print('scipy.special' in sys.modules)") == "False"
-
-
 def test_single_chunk_runs_leave_multiprocessing_unloaded(tmp_path):
     # a run of one chunk forks no worker, and no run imports multiprocessing
     out = tmp_path / "one-chunk"
@@ -755,11 +782,13 @@ def test_single_chunk_runs_leave_multiprocessing_unloaded(tmp_path):
 @pytest.mark.parametrize("command",
                          ["simulate", "simulate-j1000", "charge", "charge-2chunks", "order"])
 def test_commands_leave_heavy_modules_unloaded(command, tmp_path):
-    # each would add its import time and memory to every run: scipy, whose
-    # OpenBLAS would be a second one in the process; numpy.f2py and
-    # numpy.testing; and a process pool's multiprocessing and
-    # concurrent.futures.  On two CPUs simulate-j1000, with three snapshots,
-    # forks the trajectory writer, and charge-2chunks forks two chunk workers.
+    # neither `import dsnls.cli` nor the run loads any of these, each of which
+    # would add its import time and memory to every run: scipy, whose
+    # OpenBLAS would be a second one in the process, scipy.special and
+    # scipy.linalg; numpy.f2py and numpy.testing; and a process pool's
+    # multiprocessing and concurrent.futures.  On two CPUs simulate-j1000,
+    # with three snapshots, forks the trajectory writer, and charge-2chunks
+    # forks two chunk workers.
     heavy = ("scipy", "scipy.special", "scipy.linalg", "numpy.f2py", "numpy.testing",
              "multiprocessing", "concurrent.futures")
     argv = {

@@ -141,8 +141,7 @@ class TestRunEnsemble:
         rec = charge_experiment(cfg)
         prop = make_propagator(cfg.grid, cfg.tau, cfg.params.alpha)
         psi0 = resolve_initial(cfg.grid, "sine")
-        _, states = integrate(psi0[:, None], prop, cfg.params,
-                              batch_forcing(cfg, cfg.tau, cfg.n_steps, range(1)),
+        _, states = integrate(psi0[:, None], prop, cfg.params, batch_forcing(cfg, range(1)),
                               cfg.n_steps, record_stride=8)
         manual = _manual_states(cfg, prop, psi0)[::8]
         np.testing.assert_array_equal(states[:, :, 0], manual)
@@ -160,7 +159,7 @@ class TestRunEnsemble:
         for c in (None, 1, 3):
             per_realization = np.empty((cfg.M, cfg.n_steps + 1))
             for lo, hi in _chunks(cfg.M, c):
-                forcing = batch_forcing(cfg, cfg.tau, cfg.n_steps, range(lo, hi))
+                forcing = batch_forcing(cfg, range(lo, hi))
                 for n, psi, _ in _sweep(cfg, prop, psi0, forcing):
                     per_realization[lo:hi, n] = discrete_charge(psi, h)
             values.append(per_realization)
@@ -231,15 +230,14 @@ class TestRunEnsemble:
     @pytest.mark.parametrize("J", [2, 9, 1000])
     def test_integrate_equals_column_zero_of_a_batch(self, J):
         # a lone trajectory and realization 0 of a three-column batch take
-        # the steps of a plain loop along the path bit for bit, on the Thomas
-        # (J <= 2) and LAPACK paths
+        # the steps of a plain loop along the path bit for bit
         cfg = _config(M=3, grid=GridSpec(J=J), tau=2.0 ** -10, T=2.0 ** -7)
         prop = make_propagator(cfg.grid, cfg.tau, cfg.params.alpha)
         psi0 = resolve_initial(cfg.grid, "sine")
         manual = _manual_states(cfg, prop, psi0)
         _, states = integrate(psi0[:, None], prop, cfg.params,
-                              batch_forcing(cfg, cfg.tau, cfg.n_steps, range(1)), cfg.n_steps)
-        forcing = batch_forcing(cfg, cfg.tau, cfg.n_steps, range(cfg.M))
+                              batch_forcing(cfg, range(1)), cfg.n_steps)
+        forcing = batch_forcing(cfg, range(cfg.M))
         batch = [psi[:, 0].copy() for _, psi, _ in _sweep(cfg, prop, psi0, forcing)]
         assert len(batch) == cfg.n_steps + 1
         np.testing.assert_array_equal(states[:, :, 0], manual)
