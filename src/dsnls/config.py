@@ -34,10 +34,10 @@ __all__ = ["ConfigError", "parse_config", "serialize_config", "apply_overrides"]
 
 
 class ConfigError(ValueError):
-    """Config rejected; message carries line number and key where known."""
+    """Config rejected; message names the file line or override, and key, where known."""
 
 
-def _parse_number(text: str, line: int, key: str) -> float:
+def _parse_number(text: str, where: str, key: str) -> float:
     tok = text.strip().replace("**", "^")
     try:
         if "^" in tok:
@@ -45,47 +45,48 @@ def _parse_number(text: str, line: int, key: str) -> float:
             return float(base) ** float(exp)
         return float(tok)
     except ValueError:
-        raise ConfigError(f"line {line}: key '{key}': cannot parse number {text!r}") from None
+        raise ConfigError(f"{where}: key '{key}': cannot parse number {text!r}") from None
 
 
-def _parse_int(text: str, line: int, key: str) -> int:
+def _parse_int(text: str, where: str, key: str) -> int:
     try:
         return int(text.strip())
     except ValueError:
-        raise ConfigError(f"line {line}: key '{key}': cannot parse integer {text!r}") from None
+        raise ConfigError(f"{where}: key '{key}': cannot parse integer {text!r}") from None
 
 
-def _parse_str_list(text: str, line: int, key: str) -> tuple:
+def _parse_str_list(text: str, where: str, key: str) -> tuple:
     items = tuple(tok.strip() for tok in text.split(",") if tok.strip())
     if not items:
-        raise ConfigError(f"line {line}: key '{key}': empty list")
+        raise ConfigError(f"{where}: key '{key}': empty list")
     return items
 
 
-def _parse_number_list(text: str, line: int, key: str) -> tuple:
-    return tuple(_parse_number(tok, line, key) for tok in text.split(",") if tok.strip())
+def _parse_number_list(text: str, where: str, key: str) -> tuple:
+    return tuple(_parse_number(tok, where, key) for tok in text.split(",") if tok.strip())
 
 
-def _parse_text(text: str, line: int, key: str) -> str:
+def _parse_text(text: str, where: str, key: str) -> str:
     return text.strip()
 
 
-def _parse_kind(text: str, line: int, key: str) -> str:
+def _parse_kind(text: str, where: str, key: str) -> str:
     kind = text.strip()
     if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(f"line {line}: key '{key}': unknown experiment kind {kind!r}")
+        raise ConfigError(f"{where}: key '{key}': unknown experiment kind {kind!r}")
     return kind
 
 
 def _optional(parse, empty):
     """`parse`, except that an empty value stands for `empty`."""
-    return lambda text, line, key: parse(text, line, key) if text else empty
+    return lambda text, where, key: parse(text, where, key) if text else empty
 
 
 #: Every config key as (section, key, parser, default), in file order.  A
 #: default of None marks a required key; other defaults are raw values, parsed
-#: like the file's own.  Parsers take (text, line, key); keys are unique
-#: across sections and name the value they produce.
+#: like the file's own.  Parsers take (text, where, key), `where` naming the
+#: file line or the override that gave the text; keys are unique across
+#: sections and name the value they produce.
 _KEYS = (
     ("model", "alpha", _parse_number, None),
     ("model", "lambda", _parse_int, None),
@@ -110,7 +111,7 @@ _SECTION_OF = {key: section for section, key, _, _ in _KEYS}
 
 
 def _scan(text: str) -> dict:
-    """Raw (section, key) -> (value, line) map with duplicate/unknown checks."""
+    """Raw (section, key) -> (value, "line N") map with duplicate/unknown checks."""
     entries = {}
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -131,7 +132,7 @@ def _scan(text: str) -> dict:
             raise ConfigError(f"line {lineno}: unknown key '{key}' in section [{section}]")
         if (section, key) in entries:
             raise ConfigError(f"line {lineno}: duplicate key '{key}' in section [{section}]")
-        entries[(section, key)] = (value, lineno)
+        entries[(section, key)] = (value, f"line {lineno}")
     return entries
 
 
@@ -145,7 +146,7 @@ def apply_overrides(entries: dict, overrides) -> dict:
         section, _, name = key.rpartition(".")
         if _SECTION_OF.get(name) is None or section not in ("", _SECTION_OF[name]):
             raise ConfigError(f"override {item!r}: unknown key '{key}'")
-        out[(_SECTION_OF[name], name)] = (value, 0)
+        out[(_SECTION_OF[name], name)] = (value, f"override {item!r}")
     return out
 
 
@@ -157,8 +158,8 @@ def build_config(entries: dict) -> ExperimentConfig:
         raise ConfigError("missing required keys: " + ", ".join(missing))
     v = {}
     for section, key, parse, default in _KEYS:
-        text, line = entries.get((section, key), (default, 0))
-        v[key] = parse(text, line, key)
+        text, where = entries.get((section, key), (default, "default"))
+        v[key] = parse(text, where, key)
 
     spec_desc, P = v.pop("spectrum"), v.pop("P")
     try:

@@ -9,13 +9,13 @@ Every ensemble splits its realizations into chunks, at most `MAX_CHUNK`
 function (config, forcing) on them, `forcing` being the chunk's
 `batch_forcing` source: in forked chunk worker processes on the usable CPUs
 when there is more than one chunk and more than one CPU (`taskset -c 0`
-gives one), in this process otherwise.  A lone chunk on two or more CPUs has its noise drawn in
-a forked producer process on the CPU the chunk leaves idle.  The per-chunk
-functions drive one chunk each through `_sweep`, which starts every column
-from Ψ⁰, feeds column i from realization i's own counter-based noise stream
-and steps the batch with `march`, handing each state Ψⁿ, with the forcing gⁿ
-that produced it, to the experiment, and each returns its rows of the
-per-realization table.
+gives one), in this process otherwise.  A lone chunk on two or more CPUs has
+its noise drawn by a forked producer process on the idle CPU, into two shared
+block slots in turn.  The per-chunk functions drive one chunk each through
+`_sweep`, which starts every column from Ψ⁰, feeds column i from realization
+i's own counter-based noise stream and steps the batch with `march`, handing
+each state Ψⁿ, with the forcing gⁿ that produced it, to the experiment, and
+each returns its rows of the per-realization table.
 Columns never mix and node sums run in node order (`column_norm2`), and the
 rows are concatenated in chunk order and reduced in realization-index
 order, so the aggregate is a pure function of (config, base seed): neither
@@ -233,18 +233,20 @@ def _sample_mean(samples: np.ndarray):
 def jackknife_se(samples: np.ndarray, transform=None):
     """Leave-one-out standard error of transform(mean(samples)) along axis 0.
 
-    With `transform=None` this reduces to the classical s/√n of the sample
-    mean; a single sample, or a column of equal samples, gives 0.
+    `transform` is None or a ufunc (np.sqrt), applied in place.  With None
+    this is the classical s/√n of the sample mean; a single sample, or a
+    column of equal samples, gives 0.
     """
     x = np.asarray(samples, dtype=float)
     n = x.shape[0]
     if n < 2:
         return np.zeros(x.shape[1:]) if x.ndim > 1 else 0.0
-    loo = (x.sum(axis=0) - x) / (n - 1)
+    loo = np.subtract(x.sum(axis=0), x)
+    loo /= n - 1
     if transform is not None:
-        loo = transform(loo)
-    center = loo.mean(axis=0)
-    out = np.sqrt((n - 1) / n * ((loo - center) ** 2).sum(axis=0))
+        transform(loo, out=loo)
+    loo -= loo.mean(axis=0)
+    out = np.sqrt((n - 1) / n * np.square(loo, out=loo).sum(axis=0))
     out = np.where((x == x[0]).all(axis=0), 0.0, out)
     return out if out.ndim else float(out)
 
@@ -285,8 +287,9 @@ def _run_chunk(task):
 
 
 def _map_chunks(fn, configs, chunk_size):
-    """[fn(config, forcing) for each config, for each of its chunks], and the
-    manifest lines saying how they ran, the noise lines summed over chunks.
+    """[fn(config, forcing)'s rows over each config's chunks, concatenated]
+    for configs of one M, and the manifest lines saying how they ran, the
+    noise lines summed over chunks.
 
     With more than one chunk and more than one usable CPU the chunks run in
     min(CPUs, chunks) forked worker processes (`_fork_chunks`); otherwise
@@ -302,7 +305,9 @@ def _map_chunks(fn, configs, chunk_size):
     else:
         results = [_run_chunk(task) for task in tasks]
     rows, timers = zip(*results)
-    return list(rows), {"cpus": str(cpus), "chunks": str(len(tasks)), "workers": str(workers),
+    per = len(rows) // len(configs)
+    tables = [np.concatenate(rows[i:i + per]) for i in range(0, len(rows), per)]
+    return tables, {"cpus": str(cpus), "chunks": str(len(tasks)), "workers": str(workers),
                         **noise_lines(timers)}
 
 
@@ -471,28 +476,24 @@ class Child:
         return WorkerDied(f"{self.name} {self.pid}", self.close())
 
 
-def _produce(free: int, ready: int, config: ExperimentConfig, realizations, block: np.ndarray,
+def _produce(free: int, ready: int, config: ExperimentConfig, realizations, slots: np.ndarray,
              spans) -> None:
     """The life of a producer process (`Child` runs it).
 
     It opens the streams, so numpy.random and the generator state live only
-    here, and says so with a one-byte token.  It fills each block privately,
-    waits for a "free" token, copies the block into the shared `block` and
-    answers with a "ready" token that carries the fill's seconds; so it
-    fills block k + 1 while the consumer marches block k.  It ends after the
+    here, and says so with a one-byte token.  It fills block k in place in
+    shared slot k mod 2, from block 2 on once block k - 2's "free" token has
+    come, and answers "ready" with the fill's seconds.  It ends after the
     last block, or at EOF on `free` or a broken `ready` pipe: the consumer
     has closed.
     """
     streams = _open_streams(config, realizations)
     try:
         os.write(ready, b"s")
-        private = np.empty_like(block)
-        for rows in spans:
-            seconds = _fill(private[:rows], streams)
-            if not os.read(free, 1):
+        for k, rows in enumerate(spans):
+            if k >= 2 and not os.read(free, 1):
                 return
-            block[:rows] = private[:rows]
-            os.write(ready, struct.pack("d", seconds))
+            os.write(ready, struct.pack("d", _fill(slots[k % 2, :rows], streams)))
     except BrokenPipeError:
         pass
 
@@ -517,17 +518,17 @@ class ForcingSource:
         shape = (spans[0] if spans else 0, config.grid.J, len(realizations))
         self._normals_per_step = 2 * stream_noise(config).P * len(realizations)
         if alone and len(spans) > 1 and usable_cpus() > 1:
-            # one block shared with the producer: the only block this process holds
-            shared = mmap.mmap(-1, np.dtype(complex).itemsize * shape[0] * shape[1] * shape[2])
-            block = np.frombuffer(shared, dtype=complex).reshape(shape)
+            # two block slots shared with the producer: the only blocks this process maps
+            shared = mmap.mmap(-1, 2 * np.dtype(complex).itemsize * int(np.prod(shape)))
+            slots = np.frombuffer(shared, dtype=complex).reshape(2, *shape)
             self._producer = Child("noise producer process", _produce, config, realizations,
-                                   block, spans)
+                                   slots, spans)
             try:
                 self._receive(1)  # the streams are open, as on the in-process path
             except BaseException:
                 self.close()
                 raise
-            self._rows = self._rows_from_producer(block, spans)
+            self._rows = self._rows_from_producer(slots, spans)
         else:
             streams = _open_streams(config, realizations)
             self._rows = self._rows_here(streams, np.empty(shape, dtype=complex), spans)
@@ -539,15 +540,16 @@ class ForcingSource:
             self.normals += rows * self._normals_per_step
             yield from block
 
-    def _rows_from_producer(self, block: np.ndarray, spans):
-        for rows in spans:
-            try:
-                os.write(self._producer.to_child, b"f")  # the rows of the last block are spent
-            except BrokenPipeError:
-                pass  # the producer has died; `_receive` reads its EOF
+    def _rows_from_producer(self, slots: np.ndarray, spans):
+        for k, rows in enumerate(spans):
             self.noise_s += struct.unpack("d", self._receive(8))[0]
             self.normals += rows * self._normals_per_step
-            yield from block[:rows]
+            yield from slots[k % 2, :rows]
+            if k + 2 < len(spans):  # the next row is asked for: block k's slot is spent
+                try:
+                    os.write(self._producer.to_child, b"f")
+                except BrokenPipeError:
+                    pass  # the producer has died; `_receive` reads its EOF
 
     def _receive(self, size: int) -> bytes:
         """The producer's next token, of `size` bytes, timed as waiting; a
@@ -572,7 +574,9 @@ class ForcingSource:
         self.close()
 
     def close(self) -> None:
-        """Close the pipes to the producer, which then exits, and reap it."""
+        """Drop the rows and their blocks, and close the pipes to the
+        producer, which then exits, and reap it."""
+        self._rows = iter(())  # its frame refers back to this source
         if self._producer is not None:
             self._producer.close()
 
@@ -612,10 +616,9 @@ def batch_forcing(config: ExperimentConfig, realizations: range,
     batch is `alone` (the run's only task, so a second CPU would idle), spans
     more than one block and this process may run on two or more CPUs
     (`usable_cpus`).  Then a producer process forked as a `Child` opens the
-    streams and fills block k + 1 while the caller marches block k, handing
-    each over through one shared block paced by tokens on two pipes
-    (`_produce`).  A producer that dies raises `WorkerDied` with its exit
-    status.
+    streams and fills block k + 1, in place in one of two block slots shared
+    with this process, while the caller marches block k (`_produce`).  A
+    producer that dies raises `WorkerDied` with its exit status.
     """
     return ForcingSource(config, realizations, alone)
 
@@ -662,8 +665,7 @@ def charge_experiment(config: ExperimentConfig, chunk_size=None) -> RunRecord:
     """Evolution of the Monte Carlo mean discrete charge, with the analytic
     exponential-relaxation overlay toward the stationary plateau."""
     t0 = time.perf_counter()
-    chunks, run_info = _map_chunks(_charge_chunk, [config], chunk_size)
-    values = np.concatenate(chunks)
+    (values,), run_info = _map_chunks(_charge_chunk, [config], chunk_size)
     h = config.grid.h
     psi0 = resolve_initial(config.grid, config.initial)
     rec_steps = _record_steps(config.n_steps, config.record_stride)
@@ -715,13 +717,11 @@ def ergodic_experiment(config: ExperimentConfig, chunk_size=None) -> RunRecord:
     observables, one curve per initial profile, averaged over realizations."""
     t0 = time.perf_counter()
     per_initial = [replace(config, initial=initial) for initial in config.initials]
-    chunks, run_info = _map_chunks(_ergodic_chunk, per_initial, chunk_size)
-    per_run = len(chunks) // len(per_initial)
+    tables, run_info = _map_chunks(_ergodic_chunk, per_initial, chunk_size)
     rec_steps = _record_steps(config.n_steps, config.record_stride, include_zero=False)
 
     rows = []
-    for j, initial in enumerate(config.initials):
-        values = np.concatenate(chunks[j * per_run:(j + 1) * per_run])
+    for initial, values in zip(config.initials, tables):
         mean = _sample_mean(values)
         se = jackknife_se(values)
         for i, s in enumerate(rec_steps):
@@ -798,8 +798,7 @@ def ms_error(config: ExperimentConfig, chunk_size=None) -> RunRecord:
     taken are the unchanged Lie steps; the exit rotation acts on a copy.
     """
     t0 = time.perf_counter()
-    chunks, run_info = _map_chunks(_error_chunk, [config], chunk_size)
-    sq = np.concatenate(chunks)
+    (sq,), run_info = _map_chunks(_error_chunk, [config], chunk_size)
     horizon_order = list(_horizon_steps(config).values())
 
     rows = []

@@ -41,8 +41,13 @@ __all__ = [
 
 GENERATOR_NAME = "philox4x64-10/splitmix64-key/folded-modes"
 
-#: Steps per block of every realization's forcing stream (`forcing_blocks`).
-FORCING_BLOCK_STEPS = 256
+#: Steps per block of every realization's forcing stream (`forcing_blocks`),
+#: wherever the blocks are filled.  The joined blocks are the same bits for
+#: any block size, with one exception: a one-row last block (n_steps ≡ 1 mod
+#: the block size, n_steps > 1) goes through numpy's vector-matrix product,
+#: whose last bits may differ from a matrix product's, so such a run's last
+#: forcing row depends on this constant.
+FORCING_BLOCK_STEPS = 64
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15

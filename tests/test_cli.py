@@ -276,6 +276,21 @@ class TestCliRuns:
         cfg.write_text("[model]\nbanana = 1\n")
         assert run(["charge", "--config", str(cfg), "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
+    def test_unparsable_value_names_its_source(self, tmp_path, capsys):
+        # an override is named as given; a file key keeps its line number
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CHARGE.replace("tau = 2^-5", "tau = abc"))
+        for argv, where in (
+            (["--preset", "fig1b", "--set", "tau=abc"], "override 'tau=abc'"),
+            (["--config", str(cfg)], "line 15"),
+        ):
+            capsys.readouterr()
+            out = tmp_path / "out"
+            assert run(["charge", *argv, "--out", str(out)]) == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                f"config error: {where}: key 'tau': cannot parse number 'abc'\n")
+            assert not out.exists()
+
     def test_missing_config_flag(self, tmp_path):
         assert run(["charge", "--out", str(tmp_path / "x")]) == EXIT_CONFIG
 
@@ -629,8 +644,8 @@ def test_commands_call_their_experiment_through_cli_globals(tmp_path, monkeypatc
     (["simulate", "--preset", "fig1b", "--set", "kind=simulate", "--set", "T=2^-2"],
      2 * 9 * 16 * 1, 16),
     (["charge", "--preset", "fig1b", "--set", "M=2", "--set", "T=2^-2"], 2 * 9 * 16 * 2, 16),
-    (["order", "--preset", "fig4-stoch", "--set", "M=2", "--set", "T=2^-5"],
-     2 * 9 * 128 * 2, 128 + 32 + 16 + 8 + 4),
+    (["order", "--preset", "fig4-stoch", "--set", "M=2", "--set", "T=2^-6"],
+     2 * 9 * 64 * 2, 64 + 16 + 8 + 4 + 2),
 ])
 def test_perfbench_tracer_runs_on_this_code(argv, normals, steps, tmp_path):
     # perfbench/child.py --trace 1 wraps module attributes by name; one it
@@ -913,7 +928,7 @@ def _manifest_lines(out) -> dict:
 class TestNoiseProducer:
     """A lone chunk on two or more CPUs draws its noise in a forked producer."""
 
-    # each longer than one 256-step forcing block
+    # each longer than one forcing block (`noise.FORCING_BLOCK_STEPS`)
     CASES = {
         "order": ["order", "--preset", "fig4-stoch", "--set", "M=4", "--set", "T=2^-3"],
         "error": ["error", "--preset", "fig3", "--set", "M=4", "--set", "T=2^-3",
@@ -923,6 +938,12 @@ class TestNoiseProducer:
                      "--set", "record_stride=64"],
         "charge": ["charge", "--preset", "fig1b", "--set", "M=4", "--set", "T=8",
                    "--set", "record_stride=32"],
+        # 5 blocks and a partial one of 33 steps, or of one: numpy takes a
+        # one-row block's product down its vector-matrix path on either side
+        "charge-353": ["charge", "--preset", "fig1b", "--set", "M=4", "--set", "T=5.515625",
+                       "--set", "record_stride=32"],
+        "charge-321": ["charge", "--preset", "fig1b", "--set", "M=4", "--set", "T=5.015625",
+                       "--set", "record_stride=32"],
     }
 
     @pytest.mark.parametrize("command", sorted(CASES))
@@ -947,7 +968,7 @@ class TestNoiseProducer:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blowup_names_the_serial_step(self, tmp_path, capsys, pin_cpus, children):
         # one chunk of four realizations: realization 2 blows up at step 417,
-        # in the second forcing block
+        # in the seventh forcing block, once both shared slots were refilled
         cfg = tmp_path / "boom.cfg"
         cfg.write_text(TINY_CHARGE)
         argv = ["charge", "--config", str(cfg), "--set", "epsilon=3e153", "--set", "M=4",
@@ -1000,7 +1021,7 @@ class TestNoiseProducer:
         # runs must keep their noise here
         pin_cpus(2)
         for argv in (["charge", "--preset", "fig1b", "--set", "M=2", "--set", "T=2^-2"],
-                     ["order", "--preset", "fig4-stoch", "--set", "M=2", "--set", "T=2^-5"],
+                     ["order", "--preset", "fig4-stoch", "--set", "M=2", "--set", "T=2^-6"],
                      ["simulate", "--preset", "fig1b", "--set", "kind=simulate",
                       "--set", "T=2^-2"]):
             out = tmp_path / argv[0]

@@ -1,4 +1,8 @@
+import gc
+import mmap
 import os
+from collections import Counter
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -23,7 +27,13 @@ from dsnls.harness import (
 )
 from dsnls.integrator import BlowUpError, integrate, make_propagator, step
 from dsnls.model import GridSpec, ModelParams, NoiseSpec, spectrum
-from dsnls.noise import fold_noise, forcing_weights, generate_path, project_forcing
+from dsnls.noise import (
+    FORCING_BLOCK_STEPS,
+    fold_noise,
+    forcing_weights,
+    generate_path,
+    project_forcing,
+)
 
 
 def _exit_in_worker(config, forcing):
@@ -128,6 +138,26 @@ class TestJackknife:
         se_sqrt = jackknife_se(x, transform=np.sqrt)
         # delta method: d sqrt(m)/dm = 1/(2 sqrt(m)) with m ~ 4
         assert se_sqrt == pytest.approx(se_plain / 4.0, rel=0.05)
+
+    @pytest.mark.parametrize("transform", [None, np.sqrt])
+    def test_in_place_buffer_keeps_the_bits_of_the_plain_formula(self, transform):
+        # the one leave-one-out buffer worked in place against the formula
+        # written out with a new array per operation, on 2-D samples and on
+        # each strided column, as ms_error passes them
+        def plain(x):
+            n = x.shape[0]
+            loo = (x.sum(axis=0) - x) / (n - 1)
+            if transform is not None:
+                loo = transform(loo)
+            out = np.sqrt((n - 1) / n * ((loo - loo.mean(axis=0)) ** 2).sum(axis=0))
+            return np.where((x == x[0]).all(axis=0), 0.0, out)
+
+        rng = np.random.default_rng(3)
+        x = rng.random((37, 6))
+        x[:, 2] = x[0, 2]  # a column of equal samples
+        assert jackknife_se(x, transform).tobytes() == plain(x).tobytes()
+        for k in range(x.shape[1]):
+            assert jackknife_se(x[:, k], transform) == plain(x[:, k])
 
 
 class TestRunEnsemble:
@@ -242,6 +272,41 @@ class TestRunEnsemble:
         assert len(batch) == cfg.n_steps + 1
         np.testing.assert_array_equal(states[:, :, 0], manual)
         np.testing.assert_array_equal(np.array(batch), manual)
+
+
+def _shared_mappings() -> Counter:
+    """The sizes in bytes of this process's shared anonymous mappings."""
+    sizes = Counter()
+    for line in Path("/proc/self/maps").read_text().splitlines():
+        fields = line.split()
+        if fields[1] == "rw-s" and line.endswith("/dev/zero (deleted)"):
+            lo, hi = (int(a, 16) for a in fields[0].split("-"))
+            sizes[hi - lo] += 1
+    return sizes
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").is_file(), reason="reads /proc/self/maps")
+def test_producer_source_maps_two_blocks_until_closed(pin_cpus):
+    # a lone two-block batch on two CPUs reads a producer's two shared block
+    # slots, the only blocks it maps, and closing it unmaps them with the
+    # collector off: nothing keeps them alive in a reference cycle
+    pin_cpus(2)
+    cfg = _config(T=2.0)
+    assert cfg.n_steps == 2 * FORCING_BLOCK_STEPS
+    nbytes = 2 * FORCING_BLOCK_STEPS * cfg.grid.J * cfg.M * np.dtype(complex).itemsize
+    gc.collect()
+    before = _shared_mappings()
+    gc.disable()
+    try:
+        with batch_forcing(cfg, range(cfg.M), alone=True) as forcing:
+            assert next(forcing).shape == (cfg.grid.J, cfg.M)
+            assert forcing.timers()["noise"] == "producer process"
+            during = _shared_mappings()
+        after = _shared_mappings()
+    finally:
+        gc.enable()
+    assert during - before == Counter([-(-nbytes // mmap.PAGESIZE) * mmap.PAGESIZE])
+    assert after == before
 
 
 class TestChargeExperiment:

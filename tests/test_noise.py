@@ -155,7 +155,8 @@ class TestForcing:
         weights = forcing_weights(grid, spec, 0.9)
         dbeta = generate_path(spec, 0.25, 600, 6)
         blocks = list(forcing_blocks(weights, spec, 0.25, 600, 6))
-        assert [len(b) for b in blocks] == [256, 256, 88]
+        block = dsnls.noise.FORCING_BLOCK_STEPS
+        assert [len(b) for b in blocks] == [block] * (600 // block) + [600 % block]
         np.testing.assert_array_equal(np.concatenate(blocks), dbeta @ weights.T)
 
     def test_suspended_generators_hold_no_block(self):
