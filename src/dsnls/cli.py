@@ -41,6 +41,7 @@ from .harness import (
     resolve_initial,
 )
 from .integrator import BlowUpError, integrate, make_propagator
+from .model import NoiseSpec
 # only for perfbench/child.py's tracer, which looks it up here (ROADMAP item 1)
 from .noise import generate_path  # noqa: F401
 from .presets import PRESETS, preset_config
@@ -243,6 +244,8 @@ def _simulate(config):
 
 
 def _cmd_experiment(args, command: str) -> int:
+    if getattr(args, "chunk_size", None) is not None and args.chunk_size < 1:  # simulate has none
+        raise ConfigError(f"--chunk-size must be >= 1, got {args.chunk_size}")
     config = _load_config(args, command)
     out = _out_dir(args)
     overrides = args.set or []
@@ -270,8 +273,11 @@ def _cmd_experiment(args, command: str) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    try:
+        seed = NoiseSpec.check_seed(0 if args.seed is None else args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     out = _out_dir(args)
-    seed = 0 if args.seed is None else args.seed
     rows = run_diagnostic_suite(seed=seed)
     manifest = {**PROVENANCE, "seed": str(seed)}
     _emit(out, manifest, None, "diagnose", [],

@@ -4,18 +4,21 @@ Experiments are described by an immutable `ExperimentConfig` and produce a
 `RunRecord`: one statistics table plus the manifest lines of how it ran.
 Re-running a config reproduces the table bit-for-bit.
 
-Every ensemble splits its realizations into chunks, at most `MAX_CHUNK`
-(256) a chunk by default, and `_map_chunks` runs each experiment's per-chunk
-function (config, forcing) on them, `forcing` being the chunk's
-`batch_forcing` source: in forked chunk worker processes on the usable CPUs
-when there is more than one chunk and more than one CPU (`taskset -c 0`
-gives one), in this process otherwise.  A lone chunk on two or more CPUs has
-its noise drawn by a forked producer process on the idle CPU, into two shared
-block slots in turn.  The per-chunk functions drive one chunk each through
-`_sweep`, which starts every column from Ψ⁰, feeds column i from realization
-i's own counter-based noise stream and steps the batch with `march`, handing
-each state Ψⁿ, with the forcing gⁿ that produced it, to the experiment, and
-each returns its rows of the per-realization table.
+Every ensemble splits its config's realizations into chunks, at most
+`MAX_CHUNK` (256) a chunk by default, and `_map_chunks` runs the
+experiment's per-chunk function (config, forcing) on them, `forcing` being
+the chunk's `batch_forcing` source: in forked chunk worker processes on the
+usable CPUs when there is more than one chunk and more than one CPU
+(`taskset -c 0` gives one), in this process otherwise.  A lone chunk on two
+or more CPUs has its noise drawn by a forked producer process on the idle
+CPU, into two shared block slots in turn.  The per-chunk functions drive one
+chunk each through `_sweep`, which starts the chunk's m realizations from
+Ψ⁰, feeds realization i from its own counter-based noise stream and steps
+the batch with `march`, handing each state Ψⁿ, with the forcing gⁿ that
+produced it, to the experiment, and each returns its rows of the
+per-realization table.  An ergodic chunk steps its k initial profiles as k
+copies of its m realizations in one (J, k·m) batch, every copy fed from the
+one row its realization drew, so the initials share their noise.
 Columns never mix and node sums run in node order (`column_norm2`), and the
 rows are concatenated in chunk order and reduced in realization-index
 order, so the aggregate is a pure function of (config, base seed): neither
@@ -36,13 +39,14 @@ import signal
 import struct
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _BLAS_THREADS, __version__
 from .diagnostics import charge_limit_discrete, discrete_charge
-from .integrator import BlowUpError, column_norm2, make_propagator, march, nonlinear_step, step
+from .integrator import (BLAS_CORE, BlowUpError, column_norm2, make_propagator, march,
+                         nonlinear_step, step)
 from .model import (
     GridSpec,
     ModelParams,
@@ -88,10 +92,22 @@ def _library(kind: str) -> str:
     return f"{lib['name']} {lib['version']}"
 
 
+def _numpy_simd() -> str:
+    """The highest SIMD target numpy dispatches to here: the last of its
+    build's dispatch targets this CPU enables (`NPY_DISABLE_CPU_FEATURES`
+    can disable some), else its baseline's last."""
+    from numpy._core import _multiarray_umath as umath
+
+    enabled = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return (enabled or umath.__cpu_baseline__ or ["none"])[-1]
+
+
 #: The lines every manifest opens with.  CSV bytes are reproducible per
-#: toolchain: the forcing product runs on numpy's BLAS and the linear solve on
-#: numpy's LAPACK, both in the one OpenBLAS numpy loaded.  The thread
-#: variables are those that library reads, and who set them.
+#: toolchain and CPU: the forcing product runs on numpy's BLAS and the linear
+#: solve on numpy's LAPACK, both in the one OpenBLAS numpy loaded, whose
+#: kernel core is `blas_core`; numpy's complex arithmetic rounds by its SIMD
+#: target, `numpy_simd`.  The thread variables are those OpenBLAS reads, and
+#: who set them.
 PROVENANCE = {
     "schema": CSV_SCHEMA_VERSION,
     "version": __version__,
@@ -100,6 +116,8 @@ PROVENANCE = {
     "numpy": np.__version__,
     "numpy_blas": _library("blas"),
     "numpy_lapack": _library("lapack"),
+    "blas_core": BLAS_CORE,
+    "numpy_simd": _numpy_simd(),
     "blas_threads": _BLAS_THREADS,
 }
 
@@ -271,7 +289,7 @@ def _chunks(total: int, chunk_size):
         n = -(-total // MAX_CHUNK)
         size = -(-total // n)
     else:
-        size = max(1, int(chunk_size))
+        size = chunk_size
     for lo in range(0, total, size):
         yield lo, min(total, lo + size)
 
@@ -286,18 +304,17 @@ def _run_chunk(task):
     return rows, forcing.timers()
 
 
-def _map_chunks(fn, configs, chunk_size):
-    """[fn(config, forcing)'s rows over each config's chunks, concatenated]
-    for configs of one M, and the manifest lines saying how they ran, the
-    noise lines summed over chunks.
+def _map_chunks(fn, config, chunk_size):
+    """fn(config, forcing)'s rows over config's chunks, concatenated, and the
+    manifest lines saying how they ran, the noise lines summed over chunks.
 
     With more than one chunk and more than one usable CPU the chunks run in
     min(CPUs, chunks) forked worker processes (`_fork_chunks`); otherwise
     they run here, one after another, and a lone chunk may draw its noise in
     a producer process (`batch_forcing`).
     """
-    spans = [(config, lo, hi) for config in configs for lo, hi in _chunks(config.M, chunk_size)]
-    tasks = [(fn, config, lo, hi, len(spans) == 1) for config, lo, hi in spans]
+    spans = list(_chunks(config.M, chunk_size))
+    tasks = [(fn, config, lo, hi, len(spans) == 1) for lo, hi in spans]
     cpus = usable_cpus()
     workers = min(cpus, len(tasks))
     if workers > 1:
@@ -305,10 +322,8 @@ def _map_chunks(fn, configs, chunk_size):
     else:
         results = [_run_chunk(task) for task in tasks]
     rows, timers = zip(*results)
-    per = len(rows) // len(configs)
-    tables = [np.concatenate(rows[i:i + per]) for i in range(0, len(rows), per)]
-    return tables, {"cpus": str(cpus), "chunks": str(len(tasks)), "workers": str(workers),
-                        **noise_lines(timers)}
+    return np.concatenate(rows), {"cpus": str(cpus), "chunks": str(len(tasks)),
+                                  "workers": str(workers), **noise_lines(timers)}
 
 
 def _work(from_parent: int, to_parent: int, tasks) -> None:
@@ -634,15 +649,13 @@ def _sweep(config: ExperimentConfig, prop, psi0: np.ndarray, forcing: ForcingSou
     """Run the realizations `forcing` feeds from `psi0` for config.n_steps
     steps of prop.tau.
 
-    Yields (n, Ψⁿ, gⁿ) step by step: Ψⁿ holds the realizations as columns
-    and gⁿ is the (J, m) forcing the step into Ψⁿ took, None at n = 0
-    and when ε = 0.  `march` raises `BlowUpError` naming the realization.
+    Yields `march`'s (n, Ψⁿ, gⁿ): Ψⁿ holds the m realizations as columns,
+    once per column of a (J, k) `psi0`, all fed the (J, m) forcing gⁿ (None
+    when ε = 0).  `march` raises `BlowUpError` naming the realization.
     """
-    rows, taken = itertools.tee(forcing)
-    psi = np.tile(psi0[:, None], (1, len(forcing.realizations)))
-    for n, psi in march(psi, prop, config.params, rows, config.n_steps,
-                        first_realization=forcing.realizations.start):
-        yield n, psi, None if n == 0 else next(taken)
+    psi = np.repeat(psi0.reshape(len(psi0), -1), len(forcing.realizations), axis=1)
+    return march(psi, prop, config.params, forcing, config.n_steps,
+                 realizations=forcing.realizations)
 
 
 def _charge_chunk(config: ExperimentConfig, forcing: ForcingSource) -> np.ndarray:
@@ -665,7 +678,7 @@ def charge_experiment(config: ExperimentConfig, chunk_size=None) -> RunRecord:
     """Evolution of the Monte Carlo mean discrete charge, with the analytic
     exponential-relaxation overlay toward the stationary plateau."""
     t0 = time.perf_counter()
-    (values,), run_info = _map_chunks(_charge_chunk, [config], chunk_size)
+    values, run_info = _map_chunks(_charge_chunk, config, chunk_size)
     h = config.grid.h
     psi0 = resolve_initial(config.grid, config.initial)
     rec_steps = _record_steps(config.n_steps, config.record_stride)
@@ -690,22 +703,22 @@ def charge_experiment(config: ExperimentConfig, chunk_size=None) -> RunRecord:
 
 
 def _ergodic_chunk(config: ExperimentConfig, forcing: ForcingSource) -> np.ndarray:
-    """(m, record steps, observables): the running averages of the m
-    realizations `forcing` feeds, started from config.initial."""
-    psi0 = resolve_initial(config.grid, config.initial)
+    """(m, initials, record steps, observables): the running averages of the m
+    realizations `forcing` feeds, each from every initial on its one stream."""
+    psi0 = np.stack([resolve_initial(config.grid, desc) for desc in config.initials], axis=1)
     prop = make_propagator(config.grid, config.tau, config.params.alpha)
     obs_fns = [OBSERVABLES[name] for name in config.observables]
     rec_steps = _record_steps(config.n_steps, config.record_stride, include_zero=False)
     rec_index = {s: i for i, s in enumerate(rec_steps)}
     m = len(forcing.realizations)
-    values = np.empty((m, len(rec_steps), len(obs_fns)))
-    sums = np.zeros((len(obs_fns), m))
+    values = np.empty((m, len(config.initials), len(rec_steps), len(obs_fns)))
+    sums = np.zeros((len(obs_fns), len(config.initials) * m))
     for n, psi, _ in _sweep(config, prop, psi0, forcing):
         if n == 0:
             continue
         i = rec_index.get(n)
         if i is not None:
-            values[:, i, :] = (sums / n).T
+            values[:, :, i, :] = (sums / n).reshape(len(obs_fns), -1, m).T
         norm2 = column_norm2(psi)
         for k, fn in enumerate(obs_fns):
             sums[k] += fn(norm2)
@@ -716,12 +729,11 @@ def ergodic_experiment(config: ExperimentConfig, chunk_size=None) -> RunRecord:
     """Running temporal averages (1/N) Σ_{n=1}^{N-1} f(Ψⁿ) of bounded
     observables, one curve per initial profile, averaged over realizations."""
     t0 = time.perf_counter()
-    per_initial = [replace(config, initial=initial) for initial in config.initials]
-    tables, run_info = _map_chunks(_ergodic_chunk, per_initial, chunk_size)
+    table, run_info = _map_chunks(_ergodic_chunk, config, chunk_size)
     rec_steps = _record_steps(config.n_steps, config.record_stride, include_zero=False)
 
     rows = []
-    for initial, values in zip(config.initials, tables):
+    for initial, values in zip(config.initials, np.ascontiguousarray(table.swapaxes(0, 1))):
         mean = _sample_mean(values)
         se = jackknife_se(values)
         for i, s in enumerate(rec_steps):
@@ -732,7 +744,7 @@ def ergodic_experiment(config: ExperimentConfig, chunk_size=None) -> RunRecord:
         kind="ergodic",
         columns=("t", "initial", "observable", "mean", "se"),
         rows=tuple(rows),
-        manifest=ensemble_manifest(config, t0, run_info, config.M * len(per_initial)),
+        manifest=ensemble_manifest(config, t0, run_info, config.M * len(config.initials)),
     )
 
 
@@ -798,7 +810,7 @@ def ms_error(config: ExperimentConfig, chunk_size=None) -> RunRecord:
     taken are the unchanged Lie steps; the exit rotation acts on a copy.
     """
     t0 = time.perf_counter()
-    (sq,), run_info = _map_chunks(_error_chunk, [config], chunk_size)
+    sq, run_info = _map_chunks(_error_chunk, config, chunk_size)
     horizon_order = list(_horizon_steps(config).values())
 
     rows = []

@@ -44,7 +44,8 @@ from .noise import forcing_weights, project_forcing  # noqa: F401
 
 
 def _load_lapack():
-    """`zgttrf` and `zgttrs` of numpy's bundled OpenBLAS, as ctypes functions.
+    """`zgttrf` and `zgttrs` of numpy's bundled OpenBLAS, as ctypes functions,
+    and the name of the kernel core it picked for this CPU.
 
     numpy's wheels ship scipy-openblas64, whose symbols carry a `scipy_`
     prefix and a `64_` suffix and whose integers are 64-bit (ILP64).  The
@@ -69,10 +70,14 @@ def _load_lapack():
     # `LinearPropagator._solver` builds each one once as a ctypes object of
     # the exact C type
     factor.restype = solve.restype = None
-    return factor, solve
+    corename = lib.scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = (), ctypes.c_char_p
+    return factor, solve, corename().decode()
 
 
-_zgttrf, _zgttrs = _load_lapack()
+#: The OpenBLAS kernel core (`OPENBLAS_CORETYPE` overrides it), on which the
+#: bits of the forcing product depend.
+_zgttrf, _zgttrs, BLAS_CORE = _load_lapack()
 _NO_TRANSPOSE = ctypes.c_char_p(b"N")
 #: gfortran passes the length of a character argument as a trailing size_t.
 _CHAR_LEN = ctypes.c_size_t(1)
@@ -314,29 +319,35 @@ def step(psi: np.ndarray, prop: LinearPropagator, params: ModelParams,
 
 
 def march(psi: np.ndarray, prop: LinearPropagator, params: ModelParams, forcing,
-          n_steps: int, cutoff: CutoffFunction | None = None, first_realization: int = 0):
-    """Step Ψ⁰ n_steps times, yielding (n, Ψⁿ) for n = 0, 1, ..., n_steps.
+          n_steps: int, cutoff: CutoffFunction | None = None, realizations: range | None = None):
+    """Step Ψ⁰ n_steps times, yielding (n, Ψⁿ, gⁿ) for n = 0, 1, ..., n_steps,
+    gⁿ being the forcing the step into Ψⁿ took (None at n = 0).
 
-    `forcing` is an iterator giving one forcing increment per step, shaped
-    like `psi` ((J,) or (J, m), one realization per column), or None for a
-    noise-free step.  The yielded arrays are never modified afterwards.
-    Raises `BlowUpError` on the first non-finite state, naming the step,
-    the realization, `first_realization` + column, and the norm of that
-    column's previous state; the overflow that causes it raises no warning.
+    `forcing` is an iterator giving one increment per step, (J,) or (J, m)
+    with one column per realization in `realizations` (by default one per
+    column of `psi`), or None for a noise-free step; column c of `psi` takes
+    column c mod m, so k·m columns step k copies of the batch.  The yielded
+    arrays are never modified afterwards.  Raises `BlowUpError` on the first
+    non-finite state, naming the step, column c's realization and the norm
+    of c's previous state; the overflow that causes it raises no warning.
     """
-    yield 0, psi
+    yield 0, psi, None
+    realizations = range(psi[0].size) if realizations is None else realizations
+    copies = psi[0].size // len(realizations)
     for n in range(1, n_steps + 1):
         g = next(forcing)
         with np.errstate(over="ignore", invalid="ignore"):
-            new = step(psi, prop, params, g, cutoff)
+            new = step(psi, prop, params, g if g is None or copies == 1 else np.tile(g, copies),
+                       cutoff)
         finite = np.isfinite(new)
         if not finite.all():
             column = int(np.argwhere(~finite.reshape(psi.shape[0], -1))[0, 1])
             last = psi.reshape(psi.shape[0], -1)[:, column]
             # hypot: a finite state too large to square still has a finite norm
-            raise BlowUpError(n, first_realization + column, float(np.hypot.reduce(np.abs(last))))
+            raise BlowUpError(n, realizations[column % len(realizations)],
+                              float(np.hypot.reduce(np.abs(last))))
         psi = new
-        yield n, psi
+        yield n, psi, g
 
 
 def integrate(psi0: np.ndarray, prop: LinearPropagator, params: ModelParams, forcing,
@@ -349,7 +360,7 @@ def integrate(psi0: np.ndarray, prop: LinearPropagator, params: ModelParams, for
         steps.append(n_steps)
     states = np.empty((len(steps), *np.shape(psi0)), dtype=complex)
     i = 0
-    for n, psi in march(psi0, prop, params, forcing, n_steps):
+    for n, psi, _ in march(psi0, prop, params, forcing, n_steps):
         if n == steps[i]:
             states[i] = psi
             i += 1

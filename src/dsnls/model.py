@@ -88,12 +88,21 @@ class NoiseSpec:
     seed: int
 
     def __post_init__(self):
+        self.check_seed(self.seed)
         if self.P < 1:
             raise ValueError(f"P must be >= 1, got {self.P}")
         if len(self.eta) != self.P:
             raise ValueError(f"eta has {len(self.eta)} entries, expected P={self.P}")
         if any(e < 0.0 for e in self.eta):
             raise ValueError("eta entries must be nonnegative")
+
+    @staticmethod
+    def check_seed(seed: int) -> int:
+        """`seed`, if it is a 64-bit base seed, in [0, 2⁶⁴): `noise.stream_key`
+        would fold any other onto one of those."""
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+        return seed
 
     @property
     def eta_array(self) -> np.ndarray:

@@ -214,10 +214,10 @@ def test_c10_truncation_coincidence():
     g_all = project_forcing(generate_path(folded, tau, 128, 0),
                             forcing_weights(grid, folded, params.epsilon))
 
-    plain = np.array([psi for _, psi in march(psi0, prop, params, iter(g_all), 128)])
+    plain = np.array([psi for _, psi, _ in march(psi0, prop, params, iter(g_all), 128)])
     radius = float(np.sqrt((np.abs(plain) ** 2).sum(axis=1)).max()) * 1.5
     cut = CutoffFunction(R=radius)
-    truncated = np.array([psi for _, psi in march(psi0, prop, params, iter(g_all), 128, cut)])
+    truncated = np.array([psi for _, psi, _ in march(psi0, prop, params, iter(g_all), 128, cut)])
     inside_identical = bool(np.array_equal(plain, truncated))
 
     rng = np.random.default_rng(9)

@@ -437,7 +437,6 @@ class TestChunkInvariance:
     @pytest.mark.parametrize("command", sorted(CASES))
     def test_csv_bytes_independent_of_cpu_count(self, command, tmp_path, pin_cpus):
         m = 5
-        runs = 5 if command == "ergodic" else 1     # one run of M per initial profile
         argv = [command, *self.CASES[command], "--set", f"M={m}"]
         expected = None
         for cpus in (1, 2, 3):
@@ -449,7 +448,7 @@ class TestChunkInvariance:
                 got = {f.name: f.read_bytes() for f in out.glob("*.csv")}
                 expected = expected or got
                 assert got == expected, (cpus, chunk)
-                chunks = runs * -(-m // (chunk or m))
+                chunks = -(-m // (chunk or m))
                 workers = min(cpus, chunks)
                 manifest = (out / "manifest.txt").read_text()
                 for line in (f"cpus = {cpus}", f"chunks = {chunks}", f"workers = {workers}"):
@@ -502,12 +501,13 @@ def test_manifest_records_write_seconds(command, tmp_path):
     rate = int(manifest["realization_steps_per_s"])
     assert realization_steps / (wall + 0.0005) - 1 <= rate
     assert rate <= realization_steps / max(wall - 0.0005, 1e-9) + 1
-    # and its noise work, summed over chunks: 2 min(J, P) normals per
-    # realization-step, J = 9 < P = 100 here, and seconds timed per block
+    # and its noise work, summed over chunks: 2 min(J, P) normals per step
+    # of each of the M realizations, J = 9 < P = 100 here, an ergodic run's
+    # initials sharing their realization's stream, and seconds timed per block
     assert manifest["noise"] in ("in process", "producer process")
     for key in ("noise_s", "noise_wait_s"):
         assert re.fullmatch(r"\d+\.\d{3}", manifest[key]), (key, manifest.get(key))
-    assert int(manifest["normals"]) == 2 * 9 * realization_steps
+    assert int(manifest["normals"]) == 2 * 9 * (1 if command == "simulate" else 2) * config.n_steps
 
 
 @pytest.mark.parametrize("argv, writes, error, code", [
@@ -551,6 +551,32 @@ def test_chunk_size_is_an_ensemble_option(tmp_path, capsys):
     assert "--chunk-size" in capsys.readouterr().err
     assert run(["charge", *argv, "--set", "kind=charge", "--set", "M=4",
                 "--out", str(tmp_path / "charge")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("size", [0, -3])
+def test_chunk_size_below_one_is_config_error(size, tmp_path, capsys):
+    # checked before any output exists, not rounded up to chunks of one
+    out = tmp_path / "out"
+    assert run(["charge", "--preset", "fig1b", "--set", "M=4", "--set", "T=2^-4",
+                "--chunk-size", str(size), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: --chunk-size must be >= 1, got {size}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["charge", "--preset", "fig1b", "--set", "M=2", "--set", "T=2^-5", "--seed", str(2 ** 64 + 1)],
+    ["charge", "--preset", "fig1b", "--set", "M=2", "--set", "T=2^-5", "--seed", "-1"],
+    ["diagnose", "--seed", "-1"],
+    ["diagnose", "--seed", str(2 ** 64)],
+], ids=["charge-2^64+1", "charge-negative", "diagnose-negative", "diagnose-2^64"])
+def test_seed_outside_64_bits_is_config_error(argv, tmp_path, capsys):
+    # a base seed is 64-bit: 2^64 + 1 would run the streams of seed 1 under
+    # its own echo, and diagnose's generator refuses a negative one
+    out = tmp_path / "out"
+    assert run([*argv, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"config error: seed must be in [0, 2^64), got {argv[-1]}\n")
+    assert not out.exists()
 
 
 class TestTrajectoryWriter:
@@ -772,6 +798,30 @@ def test_blas_thread_policy():
                         "MKL_NUM_THREADS=unset")
 
 
+_LOWER_SIMD = "AVX512_SPR AVX512_ICL X86_V4"
+
+
+def _x86_v3_dispatch() -> bool:
+    """Whether this numpy dispatches up to AVX512_SPR on an x86 CPU with AVX2."""
+    from numpy._core import _multiarray_umath as umath
+
+    return (platform.machine() in ("x86_64", "AMD64") and umath.__cpu_features__.get("X86_V3")
+            and set(_LOWER_SIMD.split()) <= set(umath.__cpu_dispatch__))
+
+
+@pytest.mark.skipif(not _x86_v3_dispatch(), reason="needs an x86 CPU with AVX2")
+def test_provenance_names_the_blas_core_and_numpy_simd():
+    # both pick the kernels whose roundings a CSV byte depends on, and the
+    # variables that override them act in a fresh interpreter only
+    code = "import dsnls.harness as h; print(h.PROVENANCE['blas_core'], h.PROVENANCE['numpy_simd'])"
+    here = dict.fromkeys(("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES"))
+    core, simd = _python_c(code, here).split()
+    assert core and simd
+    assert _python_c(code, {**here, "OPENBLAS_CORETYPE": "Haswell"}).split() == ["Haswell", simd]
+    assert _python_c(code, {**here, "NPY_DISABLE_CPU_FEATURES": _LOWER_SIMD}).split() == [
+        core, "X86_V3"]
+
+
 def test_started_interpreters_inherit_no_blas_pin():
     # dsnls puts the environment back once OpenBLAS has loaded, so a dsnls
     # started from a dsnls process pins one thread itself, not as a user
@@ -867,6 +917,25 @@ def test_blowup_in_a_worker_names_the_serial_step(tmp_path, capsys, pin_cpus):
         norms.append(_manifest_lines(tmp_path / f"cpus{cpus}")["last_finite_norm"])
     assert norms[0] == norms[1]
     assert 1e154 < float(norms[0]) < float("inf")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("flags", [[], ["--chunk-size", "1"]], ids=["default", "chunk-size-1"])
+def test_ergodic_blowup_names_the_realization(flags, cpus, tmp_path, capsys, pin_cpus):
+    # the two initials step as one batch, initial a's realization r in
+    # column a·m + r: the exploding second one fails first in column 3 of the
+    # lone default chunk, or column 1 of chunk 0, both realization 0.  At
+    # J = 1 its explicit profile is one entry, so the comma-separated
+    # initials can hold it.
+    pin_cpus(cpus)
+    out = tmp_path / "out"
+    assert run(["ergodic", "--preset", "fig2", "--set", "M=3", "--set", "T=2^-2",
+                "--set", "J=1", "--set", "initials=initial(1), explicit: 1e200+0j",
+                *flags, "--out", str(out)]) == EXIT_BLOWUP
+    assert capsys.readouterr().err == (
+        "numerical blow-up: non-finite state after step 1 (realization 0)\n")
+    _assert_blowup_manifest(out, "ergodic", step=1, realization=0)
 
 
 @pytest.mark.skipif(not Path(f"/proc/self/task/{os.getpid()}/children").is_file(),

@@ -24,13 +24,15 @@ from dsnls.harness import PROVENANCE
 DIGESTS = Path(__file__).with_name("digests.json")
 
 #: The PROVENANCE lines bytes are reproducible under.
-TOOLCHAIN = ("python", "numpy", "numpy_blas", "numpy_lapack")
+TOOLCHAIN = ("python", "numpy", "numpy_blas", "numpy_lapack", "blas_core", "numpy_simd")
 
 #: name -> dsnls argv; small runs of every preset.  fig4-stoch spans 64
-#: forcing blocks and simulate 256 steps, one lone chunk each.
+#: forcing blocks and simulate 256 steps, one lone chunk each; fig1b-chunks
+#: is fig1b in three chunks.
 RUNS = {
     "fig1a": ["charge", "--preset", "fig1a", "--set", "M=8"],
     "fig1b": ["charge", "--preset", "fig1b", "--set", "M=8"],
+    "fig1b-chunks": ["charge", "--preset", "fig1b", "--set", "M=8", "--chunk-size", "3"],
     "fig2": ["ergodic", "--preset", "fig2", "--set", "M=8", "--set", "T=10"],
     "fig3": ["error", "--preset", "fig3", "--set", "M=8", "--set", "T=5",
              "--set", "horizons=2.5, 5"],
@@ -60,7 +62,8 @@ def digests(out: Path) -> dict:
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_csv_bytes_match_committed_digests(cpus, tmp_path, pin_cpus, capsys):
     # one CPU runs every chunk and its noise here; two fork chunk workers
-    # (fig2) and noise producers (fig4-stoch, simulate-j1000, fig3)
+    # (fig1b-chunks) and noise producers (fig2, fig3, fig4-stoch,
+    # simulate-j1000)
     committed = json.loads(DIGESTS.read_text())
     mismatched = {key: (committed["toolchain"].get(key), value)
                   for key, value in toolchain().items()

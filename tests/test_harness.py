@@ -255,7 +255,7 @@ class TestRunEnsemble:
         pin_cpus(2)
         with pytest.raises(WorkerDied,
                            match=r"^the chunk worker process \d+ died \(exit status 1\)$"):
-            _map_chunks(_exit_in_worker, [_config(M=2)], 1)
+            _map_chunks(_exit_in_worker, _config(M=2), 1)
 
     @pytest.mark.parametrize("J", [2, 9, 1000])
     def test_integrate_equals_column_zero_of_a_batch(self, J):
@@ -350,6 +350,25 @@ class TestErgodicExperiment:
         for t, initial, obs, mean, se in rec.rows:
             by_initial.setdefault(initial, []).append((t, obs, mean, se))
         assert by_initial["sine"] == by_initial["initial(3)"]
+
+    def test_each_initial_reads_as_if_run_alone(self):
+        # the initials share their realizations' streams in one batch; each
+        # curve keeps the bits of a run of that initial alone
+        both = ergodic_experiment(self._cfg(("initial(1)", "initial(4)")), chunk_size=2)
+        for initial in ("initial(1)", "initial(4)"):
+            alone = ergodic_experiment(self._cfg((initial,)))
+            assert [row for row in both.rows if row[1] == initial] == list(alone.rows)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("chunk_size", [None, 1])
+    def test_blowup_names_the_realization_not_the_column(self, chunk_size):
+        # initial a's realization r is column a·m + r of an m-realization
+        # chunk: the exploding second initial fails first in column 3 of the
+        # lone default chunk, or column 1 of chunk 0, both realization 0
+        cfg = self._cfg(("sine", "explicit: 1e200+0j, 0, 0, 0, 0"))
+        with pytest.raises(BlowUpError) as err:
+            ergodic_experiment(cfg, chunk_size=chunk_size)
+        assert (err.value.step_index, err.value.realization) == (1, 0)
 
     def test_columns_and_rows(self):
         rec = ergodic_experiment(self._cfg(("initial(1)",)))

@@ -134,6 +134,14 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec(P=1, eta=(-1.0,), seed=0)
 
+    def test_seed_is_64_bit(self):
+        # stream_key reads a seed modulo 2^64, so only [0, 2^64) is accepted
+        for seed in (0, 2 ** 64 - 1):
+            assert NoiseSpec(P=1, eta=(1.0,), seed=seed).seed == seed
+        for seed in (-1, 2 ** 64, 2 ** 64 + 1):
+            with pytest.raises(ValueError, match=r"^seed must be in \[0, 2\^64\), got "):
+                NoiseSpec(P=1, eta=(1.0,), seed=seed)
+
 
 class TestInitialProfiles:
     def test_sine_on_tenth_mesh_grid(self):
