@@ -16,9 +16,10 @@ Sections and keys:
 
 `spectrum` is ``power-law(r)`` or ``explicit: v1, v2, ...`` (P entries).
 `initial` names a profile or gives ``explicit: z1, z2, ...`` (J complex
-entries).  An error or order study's `tau` is its fine reference step.
-Defaults are applied for every omitted optional key and echoed into the
-run manifest's config echo, its one record of the config.
+entries); `initials` lists such profiles, an explicit one with its entries.
+An error or order study's `tau` is its fine reference step.  Defaults are
+applied for every omitted optional key and echoed into the run manifest's
+config echo, its one record of the config.
 
 Overrides (``key=value`` or ``section.key=value``, the CLI's `--set`) replace
 a key's value.  A preset is the document `presets.BASE` with its own
@@ -55,11 +56,27 @@ def _parse_int(text: str, where: str, key: str) -> int:
         raise ConfigError(f"{where}: key '{key}': cannot parse integer {text!r}") from None
 
 
+def _is_complex(text: str) -> bool:
+    try:
+        complex(text.replace(" ", ""))
+    except ValueError:
+        return False
+    return True
+
+
 def _parse_str_list(text: str, where: str, key: str) -> tuple:
-    items = tuple(tok.strip() for tok in text.split(",") if tok.strip())
+    """The comma-separated items of `text`.  An ``explicit:`` item keeps the
+    numbers that follow it, comma-separated as written, up to the next item
+    that is not a number, so a list of profiles can hold an explicit one."""
+    items = []
+    for tok in text.split(","):
+        if items and items[-1].lstrip().startswith("explicit:") and _is_complex(tok):
+            items[-1] += "," + tok
+        elif tok.strip():
+            items.append(tok)
     if not items:
         raise ConfigError(f"{where}: key '{key}': empty list")
-    return items
+    return tuple(item.strip() for item in items)
 
 
 def _parse_number_list(text: str, where: str, key: str) -> tuple:

@@ -56,10 +56,12 @@ from .model import (
 from .noise import (
     FORCING_BLOCK_STEPS,
     GENERATOR_NAME,
+    BatchSource,
     fold_noise,
-    forcing_blocks,
     forcing_weights,
 )
+# only for perfbench/child.py's tracer, which looks it up here (ROADMAP item 1)
+from .noise import forcing_blocks  # noqa: F401
 
 __all__ = [
     "CSV_SCHEMA_VERSION",
@@ -390,22 +392,19 @@ def ensemble_manifest(config: ExperimentConfig, t0: float, run_info: dict,
     return manifest
 
 
-def _open_streams(config: ExperimentConfig, realizations) -> list:
-    """Each realization's `forcing_blocks` stream of `stream_noise(config)`."""
+def _open_streams(config: ExperimentConfig, realizations) -> BatchSource:
+    """The `noise.BatchSource` of the realizations' streams of
+    `stream_noise(config)`, whose constructor opens them."""
     noise = stream_noise(config)
     weights = forcing_weights(config.grid, noise, config.params.epsilon)
-    # the transposed view of one complex (P, J) copy, which every stream's
-    # `forcing_blocks` then projects with uncopied
-    weights = np.ascontiguousarray(weights.T, dtype=complex).T
-    return [forcing_blocks(weights, noise, config.tau, config.n_steps, r) for r in realizations]
+    return BatchSource(weights, noise, config.tau, config.n_steps, realizations)
 
 
-def _fill(block: np.ndarray, streams) -> float:
-    """Draw and project every stream's next block into its column of `block`;
-    return the seconds it took."""
+def _fill(block: np.ndarray, source: BatchSource) -> float:
+    """Draw and project the whole batch's next block into `block` in one
+    pass (`BatchSource.fill`); return the seconds it took."""
     t0 = time.perf_counter()
-    for i, s in enumerate(streams):
-        block[:, :, i] = next(s)
+    source.fill(block)
     return time.perf_counter() - t0
 
 
@@ -502,13 +501,13 @@ def _produce(free: int, ready: int, config: ExperimentConfig, realizations, slot
     last block, or at EOF on `free` or a broken `ready` pipe: the consumer
     has closed.
     """
-    streams = _open_streams(config, realizations)
+    source = _open_streams(config, realizations)
     try:
         os.write(ready, b"s")
         for k, rows in enumerate(spans):
             if k >= 2 and not os.read(free, 1):
                 return
-            os.write(ready, struct.pack("d", _fill(slots[k % 2, :rows], streams)))
+            os.write(ready, struct.pack("d", _fill(slots[k % 2, :rows], source)))
     except BrokenPipeError:
         pass
 
@@ -545,13 +544,13 @@ class ForcingSource:
                 raise
             self._rows = self._rows_from_producer(slots, spans)
         else:
-            streams = _open_streams(config, realizations)
-            self._rows = self._rows_here(streams, np.empty(shape, dtype=complex), spans)
+            source = _open_streams(config, realizations)
+            self._rows = self._rows_here(source, np.empty(shape, dtype=complex), spans)
 
-    def _rows_here(self, streams, buffer: np.ndarray, spans):
+    def _rows_here(self, source: BatchSource, buffer: np.ndarray, spans):
         for rows in spans:
             block = buffer[:rows]
-            self.noise_s += _fill(block, streams)
+            self.noise_s += _fill(block, source)
             self.normals += rows * self._normals_per_step
             yield from block
 
@@ -621,11 +620,14 @@ def batch_forcing(config: ExperimentConfig, realizations: range,
     for a batch of realizations, column i fed from realization
     realizations[i]'s own stream of `stream_noise(config)`; None when ε = 0.
 
-    Each stream is drawn and projected in blocks of `FORCING_BLOCK_STEPS`
-    steps at fixed per-realization shapes (`_fill`), so every column is
-    bit-identical no matter how realizations are grouped into batches or
-    which process draws them.  A yielded row is a view of one block buffer:
-    it is valid only until the next row is taken.
+    The whole batch is drawn and projected a block of `FORCING_BLOCK_STEPS`
+    steps at a time, in one pass (`_fill`, a `noise.BatchSource`): every
+    stream draws its own rows, and the stacked product projects each
+    realization's rows alone at fixed per-realization shapes, so every
+    column is bit-identical to its realization's `forcing_blocks`, no matter
+    how realizations are grouped into batches or which process draws them.
+    A yielded row is a view of one block buffer: it is valid only until the
+    next row is taken.
 
     The blocks are filled in this process as the rows are taken, unless the
     batch is `alone` (the run's only task, so a second CPU would idle), spans

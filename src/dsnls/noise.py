@@ -37,17 +37,21 @@ __all__ = [
     "forcing_weights",
     "project_forcing",
     "forcing_blocks",
+    "BatchSource",
 ]
 
 GENERATOR_NAME = "philox4x64-10/splitmix64-key/folded-modes"
 
-#: Steps per block of every realization's forcing stream (`forcing_blocks`),
-#: wherever the blocks are filled.  The joined blocks are the same bits for
-#: any block size, with one exception: a one-row last block (n_steps ≡ 1 mod
-#: the block size, n_steps > 1) goes through numpy's vector-matrix product,
-#: whose last bits may differ from a matrix product's, so such a run's last
-#: forcing row depends on this constant.
-FORCING_BLOCK_STEPS = 64
+#: Steps per block of every realization's forcing stream (`forcing_blocks`,
+#: `BatchSource`), wherever the blocks are filled.  A batch's block costs one
+#: draw call per realization and one stacked product, so the blocks can be
+#: short, and the two shared slots of a noise producer small.  The joined
+#: blocks are the same bits for any block size, with one exception: a
+#: one-row last block (n_steps ≡ 1 mod the block size, n_steps > 1) goes
+#: through numpy's vector-matrix product, whose last bits may differ from a
+#: matrix product's, so such a run's last forcing row depends on this
+#: constant.
+FORCING_BLOCK_STEPS = 16
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -90,11 +94,14 @@ def _stream(noise: NoiseSpec, realization: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=stream_key(noise.seed, realization)))
 
 
-def _draw(gen: np.random.Generator, n_steps: int, P: int, root: float) -> np.ndarray:
-    """The next (n_steps, P) complex increments of `gen`, scaled by `root` = √τ."""
-    raw = gen.standard_normal((n_steps, P, 2))
-    raw *= root
-    return raw.view(complex)[..., 0]  # (re, im) pairs read in place as complex
+def _draw(gen: np.random.Generator, raw: np.ndarray, root: float) -> np.ndarray:
+    """`raw`, a (rows, P, 2) float array, filled with the next normals of `gen`
+    in C order and scaled by `root` = √τ; a root of 1 multiplies nothing,
+    the same bits.  Read as complex, its rows are (rows, P) increments."""
+    gen.standard_normal(out=raw)
+    if root != 1.0:
+        raw *= root
+    return raw
 
 
 def generate_path(noise: NoiseSpec, tau_fine: float, n_steps: int, realization: int) -> np.ndarray:
@@ -106,19 +113,37 @@ def generate_path(noise: NoiseSpec, tau_fine: float, n_steps: int, realization: 
 
 
 def increment_blocks(noise: NoiseSpec, tau_fine: float, n_steps: int, realization: int,
-                     block_size: int = FORCING_BLOCK_STEPS):
+                     block_size: int = FORCING_BLOCK_STEPS, out=None):
     """One realization's increments, as an iterator of (<=block_size, P) blocks.
 
     The stream is opened here and the blocks are drawn as they are taken; they
     consume it in order, so the blocks joined are the same bits whatever the
-    block size.  A suspended iterator holds no block.
+    block size.  A suspended iterator holds no block of its own: each block
+    is a new array or, with `out`, a (>= block_size, P, 2) float buffer, a
+    view of the rows drawn into it, valid until the next block is taken.
     """
     if not tau_fine > 0.0:
         raise ValueError(f"tau_fine must be > 0, got {tau_fine}")
     gen = _stream(noise, realization)
     root = np.sqrt(tau_fine)
-    return (_draw(gen, min(block_size, n_steps - a), noise.P, root)
-            for a in range(0, n_steps, block_size))
+    if out is not None:
+        return _drawn_into(gen, n_steps, block_size, root, out)
+    return (_draw(gen, np.empty((min(block_size, n_steps - a), noise.P, 2)), root)
+            .view(complex)[..., 0] for a in range(0, n_steps, block_size))
+
+
+def _drawn_into(gen: np.random.Generator, n_steps: int, block_size: int, root: float,
+                out: np.ndarray):
+    """`increment_blocks`' blocks, each drawn into the first rows of `out` and
+    read there through one complex view, taken once and not per block: at
+    J = 3 a block's own views would cost a third of its draw."""
+    raw = out[:block_size]
+    block = raw.view(complex)[..., 0]
+    for a in range(0, n_steps, block_size):
+        if n_steps - a < block_size:
+            raw, block = raw[:n_steps - a], block[:n_steps - a]
+        _draw(gen, raw, root)
+        yield block
 
 
 def forcing_weights(grid, noise: NoiseSpec, epsilon: float) -> np.ndarray:
@@ -146,3 +171,47 @@ def forcing_blocks(weights: np.ndarray, noise: NoiseSpec, tau_fine: float, n_ste
     projection = np.ascontiguousarray(weights.T, dtype=complex)
     # next(blocks) is never bound, so a suspended iterator holds no block
     return (next(blocks) @ projection for _ in range(0, n_steps, FORCING_BLOCK_STEPS))
+
+
+class BatchSource:
+    """The forcing of a batch of realizations, filled a block at a time into
+    (rows, J, m) arrays, column i from realization realizations[i]'s stream,
+    bit for bit its `forcing_blocks`.
+
+    Per block, every stream draws its rows of unit-step increments through
+    `increment_blocks` into its slice of one (m, FORCING_BLOCK_STEPS, P, 2)
+    buffer; the buffer is scaled by √τ at once and projected by one stacked
+    product, which numpy runs as one product per realization at the shapes
+    `forcing_blocks` uses; the rows are then written into the caller's block.
+    Between blocks it holds these two buffers and the streams' generators,
+    and no stream holds a block of its own.
+    """
+
+    def __init__(self, weights: np.ndarray, noise: NoiseSpec, tau_fine: float, n_steps: int,
+                 realizations):
+        if not tau_fine > 0.0:
+            raise ValueError(f"tau_fine must be > 0, got {tau_fine}")
+        rows = min(FORCING_BLOCK_STEPS, n_steps)
+        self._normals = np.empty((len(realizations), rows, noise.P, 2))
+        self._product = np.empty((len(realizations), rows, len(weights)), dtype=complex)
+        # `forcing_blocks`'s complex (P, J) matrix
+        self._projection = np.ascontiguousarray(weights.T, dtype=complex)
+        self._root = np.sqrt(tau_fine)
+        # a root of 1 leaves the scaling to `fill`, once for the whole batch
+        self._streams = [increment_blocks(noise, 1.0, n_steps, r, out=self._normals[i])
+                         for i, r in enumerate(realizations)]
+
+    def fill(self, block: np.ndarray) -> None:
+        """Write every stream's next block of forcing rows into `block`, a
+        (rows, J, m) array, rows being that block's length."""
+        rows = len(block)
+        for stream in self._streams:
+            next(stream)
+        normals = self._normals[:, :rows]
+        normals *= self._root
+        # written into `block` itself, whose rows are strided, the product
+        # would leave BLAS for numpy's own loop: another code path than
+        # `forcing_blocks`'s, and 3.5 times slower at J = 1000
+        product = np.matmul(normals.view(complex)[..., 0], self._projection,
+                            out=self._product[:, :rows])
+        block[...] = product.transpose(1, 2, 0)

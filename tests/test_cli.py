@@ -159,6 +159,18 @@ class TestRoundTrip:
         cfg = preset_config(name)
         assert parse_config(serialize_config(cfg)) == cfg
 
+    def test_round_trip_keeps_explicit_initials_whole(self):
+        # an explicit profile's comma-separated numbers stay one item of
+        # `initials`, spaced as written, on a grid of more than one node
+        import dataclasses
+
+        explicit = ("explicit: 1, 0, 0, 0, 0, 0, 0, 0, 0",
+                    "explicit: 0.5+0.5j,0 ,0,0,0,0,0,0, -1e-3j")
+        cfg = dataclasses.replace(preset_config("fig2"),
+                                  initials=("initial(1)", explicit[0], "sine", explicit[1]))
+        assert parse_config(serialize_config(cfg)) == cfg
+        assert parse_config(serialize_config(cfg)).initials[1::2] == explicit
+
     def test_round_trip_preserves_spectrum_descriptor(self):
         cfg = preset_config("fig3")
         text = serialize_config(cfg)
@@ -270,6 +282,24 @@ class TestCliRuns:
         assert run([*argv, "--set", "M=2", "--set", "T=2^-5", "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: ")
         assert not out.exists()
+
+    def test_ergodic_initials_hold_an_explicit_profile(self, tmp_path):
+        # at J = 9 the explicit profile e_1 is initial(1) itself: both curves
+        # are the same bits, and the echo parses back to the run's config
+        explicit = "explicit: 1, 0, 0, 0, 0, 0, 0, 0, 0"
+        out = tmp_path / "out"
+        overrides = ["M=2", "T=2^-2", f"initials=initial(1), {explicit}"]
+        assert run(["ergodic", "--preset", "fig2", *[a for o in overrides for a in ("--set", o)],
+                    "--out", str(out)]) == EXIT_OK
+        with open(out / "ergodic.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        curves = {name: [(r["t"], r["observable"], r["mean"], r["se"])
+                         for r in rows if r["initial"] == name]
+                  for name in ("initial(1)", explicit)}
+        assert len(curves[explicit]) == len(rows) // 2 > 0
+        assert curves[explicit] == curves["initial(1)"]
+        echo = (out / "manifest.txt").read_text().split("# config echo\n")[1].replace("| ", "")
+        assert parse_config(echo) == preset_config("fig2", overrides)
 
     def test_parse_error_exit_code(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -676,7 +706,9 @@ def test_commands_call_their_experiment_through_cli_globals(tmp_path, monkeypatc
 def test_perfbench_tracer_runs_on_this_code(argv, normals, steps, tmp_path):
     # perfbench/child.py --trace 1 wraps module attributes by name; one it
     # cannot find, or one the commands no longer call, breaks the benchmark's
-    # per-layer metrics.  One chunk each, so every call is in this process.
+    # per-layer metrics.  One chunk each on one CPU, so every call is in this
+    # process: the order case spans several forcing blocks, which on two CPUs
+    # a noise producer process would draw.
     import json
     import time
 
@@ -685,10 +717,12 @@ def test_perfbench_tracer_runs_on_this_code(argv, normals, steps, tmp_path):
     src = str(Path(dsnls.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     report = tmp_path / "report.json"
+    one_cpu = {min(os.sched_getaffinity(0))}
     proc = subprocess.run(
         [sys.executable, str(child), repr(time.monotonic()), str(report), "1", "--",
          *argv, "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=lambda: os.sched_setaffinity(0, one_cpu))
     assert proc.returncode == 0, proc.stderr
     result = json.loads(report.read_text())
     assert result["setup_s"] > 0.0
@@ -925,9 +959,7 @@ def test_blowup_in_a_worker_names_the_serial_step(tmp_path, capsys, pin_cpus):
 def test_ergodic_blowup_names_the_realization(flags, cpus, tmp_path, capsys, pin_cpus):
     # the two initials step as one batch, initial a's realization r in
     # column a·m + r: the exploding second one fails first in column 3 of the
-    # lone default chunk, or column 1 of chunk 0, both realization 0.  At
-    # J = 1 its explicit profile is one entry, so the comma-separated
-    # initials can hold it.
+    # lone default chunk, or column 1 of chunk 0, both realization 0.
     pin_cpus(cpus)
     out = tmp_path / "out"
     assert run(["ergodic", "--preset", "fig2", "--set", "M=3", "--set", "T=2^-2",
@@ -1007,9 +1039,9 @@ class TestNoiseProducer:
                      "--set", "record_stride=64"],
         "charge": ["charge", "--preset", "fig1b", "--set", "M=4", "--set", "T=8",
                    "--set", "record_stride=32"],
-        # 5 blocks and a partial one of 33 steps, or of one: numpy takes a
-        # one-row block's product down its vector-matrix path on either side
-        "charge-353": ["charge", "--preset", "fig1b", "--set", "M=4", "--set", "T=5.515625",
+        # 22 or 20 blocks and a partial one of 9 steps, or of one: numpy takes
+        # a one-row block's product down its vector-matrix path on either side
+        "charge-361": ["charge", "--preset", "fig1b", "--set", "M=4", "--set", "T=5.640625",
                        "--set", "record_stride=32"],
         "charge-321": ["charge", "--preset", "fig1b", "--set", "M=4", "--set", "T=5.015625",
                        "--set", "record_stride=32"],
@@ -1086,11 +1118,12 @@ class TestNoiseProducer:
                                      "killed by signal 9")
 
     def test_single_block_runs_draw_in_process(self, tmp_path, pin_cpus):
-        # perfbench's tracer sees only this process: its pinned one-block
-        # runs must keep their noise here
+        # a run of one forcing block has no block to draw while another is
+        # marched: its noise stays in this process, even on two CPUs
         pin_cpus(2)
         for argv in (["charge", "--preset", "fig1b", "--set", "M=2", "--set", "T=2^-2"],
-                     ["order", "--preset", "fig4-stoch", "--set", "M=2", "--set", "T=2^-6"],
+                     ["order", "--preset", "fig4-stoch", "--set", "M=2", "--set", "T=2^-8",
+                      "--set", "tau_ladder=2^-11, 2^-10, 2^-9"],
                      ["simulate", "--preset", "fig1b", "--set", "kind=simulate",
                       "--set", "T=2^-2"]):
             out = tmp_path / argv[0]

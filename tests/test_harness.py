@@ -291,7 +291,7 @@ def test_producer_source_maps_two_blocks_until_closed(pin_cpus):
     # slots, the only blocks it maps, and closing it unmaps them with the
     # collector off: nothing keeps them alive in a reference cycle
     pin_cpus(2)
-    cfg = _config(T=2.0)
+    cfg = _config(T=0.5)
     assert cfg.n_steps == 2 * FORCING_BLOCK_STEPS
     nbytes = 2 * FORCING_BLOCK_STEPS * cfg.grid.J * cfg.M * np.dtype(complex).itemsize
     gc.collect()

@@ -9,6 +9,8 @@ from dsnls.diagnostics import charge_limit_discrete
 from dsnls.harness import ExperimentConfig, charge_experiment
 from dsnls.model import GridSpec, ModelParams, NoiseSpec, make_grid, spectrum
 from dsnls.noise import (
+    FORCING_BLOCK_STEPS,
+    BatchSource,
     fold_noise,
     forcing_blocks,
     forcing_weights,
@@ -176,6 +178,61 @@ class TestForcing:
         assert held / len(streams) < 0.1e6
 
 
+class TestBatchSource:
+    # the source the harness fills every forcing block from: the batch's
+    # column i is realization realizations[i]'s `forcing_blocks`, bit for bit
+
+    @staticmethod
+    def _filled(source, n_steps, J, m):
+        """The source's n_steps forcing rows, filled block by block into one
+        reused (FORCING_BLOCK_STEPS, J, m) buffer, as the harness fills them."""
+        buffer = np.empty((min(FORCING_BLOCK_STEPS, n_steps), J, m), dtype=complex)
+        rows = []
+        for a in range(0, n_steps, FORCING_BLOCK_STEPS):
+            block = buffer[:min(FORCING_BLOCK_STEPS, n_steps - a)]
+            source.fill(block)
+            rows.append(block.copy())
+        return np.concatenate(rows)
+
+    @pytest.mark.parametrize("J", [3, 9, 1000])
+    @pytest.mark.parametrize("m", [1, 4])
+    # whole blocks, a multi-row last block, a one-row last block (numpy's
+    # vector-matrix path on both sides), and a lone one-row block
+    @pytest.mark.parametrize("n_steps", [4 * FORCING_BLOCK_STEPS, 4 * FORCING_BLOCK_STEPS + 9,
+                                         4 * FORCING_BLOCK_STEPS + 1, 1])
+    def test_columns_are_forcing_blocks(self, J, m, n_steps):
+        grid = make_grid(J)
+        spec = fold_noise(grid, _spec(P=100, seed=31))
+        weights = forcing_weights(grid, spec, 0.8)
+        realizations = range(5, 5 + m)
+        got = self._filled(BatchSource(weights, spec, 2.0 ** -10, n_steps, realizations),
+                           n_steps, J, m)
+        for i, r in enumerate(realizations):
+            expected = np.concatenate(list(forcing_blocks(weights, spec, 2.0 ** -10, n_steps, r)))
+            assert np.array_equal(got[:, :, i], expected), r
+
+    def test_suspended_source_holds_only_its_buffers(self):
+        # a source between blocks holds its normals and product buffers and
+        # the streams' generators, and no stream keeps a block of its own:
+        # one stream's block is 2 * 16 * 100 float64 normals, 25.6 kB
+        spec = _spec(P=100)
+        weights = forcing_weights(make_grid(9), spec, 1.0)
+        m = 64
+        block = np.empty((FORCING_BLOCK_STEPS, 9, m), dtype=complex)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            source = BatchSource(weights, spec, 0.01, 512, range(m))
+            source.fill(block)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        buffers = (m * FORCING_BLOCK_STEPS * spec.P * 2 * 8      # the normals
+                   + m * FORCING_BLOCK_STEPS * 9 * 16)           # the projected rows
+        assert buffers <= held
+        assert (held - buffers) / m < 0.1 * FORCING_BLOCK_STEPS * spec.P * 2 * 8
+
+
 class TestFold:
     # on J nodes sine mode k is +-mode m(k) <= J, or zero when k = 0 mod J+1,
     # so min(J, P) folded modes carry the whole forcing law
@@ -222,9 +279,9 @@ class TestFold:
         drawn = []
         draw = dsnls.noise._draw
 
-        def counted(gen, n_steps, modes, root):
-            drawn.append(2 * n_steps * modes)
-            return draw(gen, n_steps, modes, root)
+        def counted(gen, raw, root):
+            drawn.append(raw.size)
+            return draw(gen, raw, root)
 
         monkeypatch.setattr(dsnls.noise, "_draw", counted)
         cfg = ExperimentConfig(
